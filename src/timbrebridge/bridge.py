@@ -35,14 +35,29 @@ class BridgeConfig:
             raise ConfigurationError(
                 f"models disagree on clip shape: {src_shape} vs {tgt_shape}"
             )
-        src_sd = getattr(self.source_model, "sigma_data", None)
-        tgt_sd = getattr(self.target_model, "sigma_data", None)
-        for name, sd in (("source", src_sd), ("target", tgt_sd)):
-            if sd is not None and sd != self.schedule.sigma_data:
+        top = self.top_sigma  # validate snapping now, not at solve time
+        sched = self.schedule
+        for name, model in (("source", self.source_model), ("target", self.target_model)):
+            sd = getattr(model, "sigma_data", None)
+            if sd is not None and sd != sched.sigma_data:
                 raise ConfigurationError(
-                    f"{name} model sigma_data {sd} != schedule {self.schedule.sigma_data}"
+                    f"{name} model sigma_data {sd} != schedule {sched.sigma_data}"
                 )
-        self.top_index()  # validate snapping now, not at solve time
+            # analytic denoisers carry no schedule and are valid at every sigma
+            trained = getattr(model, "schedule", None)
+            if trained is None:
+                continue
+            if (trained.sigma_min, trained.rho) != (sched.sigma_min, sched.rho):
+                raise ConfigurationError(
+                    f"{name} model grid (sigma_min {trained.sigma_min}, rho {trained.rho}) "
+                    f"differs from the bridge's (sigma_min {sched.sigma_min}, "
+                    f"rho {sched.rho})"
+                )
+            if top > trained.sigma_max:
+                raise ConfigurationError(
+                    f"top sigma {top:g} exceeds the {name} model's trained "
+                    f"sigma_max {trained.sigma_max:g}"
+                )
 
     def top_index(self) -> int:
         """Grid index of the inference top noise level."""

@@ -3,6 +3,7 @@
 Subcommands: synth-data, train, train-classifier, transfer, cycle-check,
 sample-shared, eval, and the study commands (convergence-study,
 sigma-ablation, coupling-ablation, shift-study, shared-latent, cycle-study).
+Each is one handler registered in ``COMMANDS`` together with its options.
 Every run writes a manifest JSON recording the effective configuration,
 seed, package version, and SHA-256 hashes of produced files.
 
@@ -22,11 +23,12 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .bridge import BridgeConfig, draw_latents, sample_shared, transfer
+from .bridge import BridgeConfig, cycle, draw_latents, sample_shared
 from .clip import LatentClip, read_clip, write_clip
 from .config import (
     Opt,
@@ -38,7 +40,7 @@ from .config import (
 )
 from .coupling import CouplingConfig
 from .dataset import CorpusSpec, build_corpus, load_corpus, save_corpus
-from .denoiser import load_denoiser, save_denoiser
+from .denoiser import NeuralDenoiser, load_denoiser, save_denoiser
 from .errors import ConfigurationError, TimbrebridgeError
 from .featurecodec import FeatureCodecSpec
 from .gmm import demo_pair_2d
@@ -51,19 +53,26 @@ from .metrics import (
 )
 from .schedule import ScheduleParams
 from .studies import (
+    AblationTable,
     Testbed,
     convergence_study,
     coupling_ablation,
     cycle_study,
+    normalized_stack,
     pitch_shift_study,
     shared_latent_study,
     sigma_ablation,
+    transfer_features,
 )
 from .synthdata import ShiftAugmentation
 from .training import TrainingConfig, train
 
 log = logging.getLogger(__name__)
 
+# ---------------------------------------------------------------------------
+# option groups and the command table
+
+COMMON_OPTS = [Opt("seed", int, 0, "run seed; all randomness derives from it")]
 SCHEDULE_OPTS = [
     Opt("sigma-min", float, 0.01, "lowest noise level of the grid"),
     Opt("sigma-max", float, 100.0, "highest noise level of the grid"),
@@ -71,168 +80,51 @@ SCHEDULE_OPTS = [
     Opt("steps", int, 100, "number of grid nodes N"),
     Opt("sigma-data", float, 1.0, "data scale entering the preconditioning"),
 ]
-COMMON_OPTS = [
-    Opt("seed", int, 0, "run seed; all randomness derives from it"),
-    Opt("jobs", int, 1, "worker cap for intra-command parallelism"),
+CODEC_OPTS = [
+    Opt("sample-rate", int, 8000),
+    Opt("bands", int, 32),
+    Opt("hop", int, 256),
+    Opt("window", int, 512),
+    Opt("f-lo", float, 60.0),
+    Opt("f-hi", float, 3800.0),
+    Opt("clip-seconds", float, 2.048),
 ]
+MODEL_PAIR_OPTS = [
+    Opt("source-ckpt", str, required=True),
+    Opt("target-ckpt", str, required=True),
+]
+BRIDGE_OPTS = [
+    Opt("inference-sigma", float, None, "top noise level (default: sigma_max)"),
+    Opt("solver", str, "heun"),
+    Opt("steps", int, None, "override solver grid size"),
+]
+CLIP_INPUT_OPTS = [
+    Opt("input", str, required=True, help="clip file or dataset directory"),
+    Opt("split", str, "test", "split to read when input is a dataset"),
+    Opt("limit", int, None, "max clips to read"),
+]
+STUDY_OPTS = [Opt("out", str, required=True), Opt("classifier-ckpt", str, required=True)]
+DATA_PAIR_OPTS = [
+    Opt("source-data", str, required=True),
+    Opt("target-data", str, required=True),
+]
+CKPT_OPT = Opt(
+    "ckpt", str, required=True, repeatable=True,
+    help="model checkpoints, format instrument=sigma_max=path",
+)
+
+Handler = Callable[[RunConfig], list[Path]]
+COMMANDS: dict[str, tuple[Handler, list[Opt]]] = {}
 
 
-def _codec_opts():
-    return [
-        Opt("sample-rate", int, 8000),
-        Opt("bands", int, 32),
-        Opt("hop", int, 256),
-        Opt("window", int, 512),
-        Opt("f-lo", float, 60.0),
-        Opt("f-hi", float, 3800.0),
-        Opt("clip-seconds", float, 2.048),
-    ]
+def command(name: str, *opts: Opt):
+    """Register the decorated handler as subcommand ``name`` with ``opts``."""
 
+    def register(handler: Handler) -> Handler:
+        COMMANDS[name] = (handler, [*COMMON_OPTS, *opts])
+        return handler
 
-COMMANDS: dict[str, list[Opt]] = {
-    "synth-data": COMMON_OPTS
-    + _codec_opts()
-    + [
-        Opt("instrument", str, required=True),
-        Opt("clips", int, 256, "training clips"),
-        Opt("test-clips", int, 64),
-        Opt("out", str, required=True),
-        Opt("augment-probability", float, 0.0, "pitch-shift augmentation probability"),
-        Opt("augment-min", int, 1),
-        Opt("augment-max", int, 25),
-    ],
-    "train": COMMON_OPTS
-    + SCHEDULE_OPTS
-    + [
-        Opt("data", str, required=True, help="dataset directory"),
-        Opt("out-ckpt", str, required=True),
-        Opt("train-steps", int, 4000),
-        Opt("batch-size", int, 16),
-        Opt("lr", float, 1e-4),
-        Opt("coupling.enabled", parse_bool, True),
-        Opt("coupling.time-chunk", int, 4),
-        Opt("coupling.channel-chunk", int, 8),
-    ],
-    "train-classifier": COMMON_OPTS
-    + [
-        Opt("data", str, required=True, repeatable=True, help="dataset directories"),
-        Opt("out-ckpt", str, required=True),
-        Opt("classifier-steps", int, 4000),
-    ],
-    "transfer": COMMON_OPTS
-    + [
-        Opt("source-ckpt", str, required=True),
-        Opt("target-ckpt", str, required=True),
-        Opt("input", str, required=True, help="clip file or dataset directory"),
-        Opt("output", str, required=True),
-        Opt("inference-sigma", float, None, "top noise level (default: sigma_max)"),
-        Opt("solver", str, "heun"),
-        Opt("steps", int, None, "override solver grid size"),
-        Opt("split", str, "test", "split to transfer when input is a dataset"),
-        Opt("limit", int, None, "max clips to transfer"),
-    ],
-    "cycle-check": COMMON_OPTS
-    + [
-        Opt("source-ckpt", str, required=True),
-        Opt("target-ckpt", str, required=True),
-        Opt("input", str, required=True),
-        Opt("output", str, None),
-        Opt("inference-sigma", float, None),
-        Opt("solver", str, "heun"),
-        Opt("steps", int, None),
-        Opt("split", str, "test"),
-        Opt("limit", int, None),
-        Opt("report", str, required=True, help="CSV of per-clip reconstruction errors"),
-    ],
-    "sample-shared": COMMON_OPTS
-    + [
-        Opt("ckpt", str, required=True),
-        Opt("n", int, 16, "number of latents to draw"),
-        Opt("frames", int, 64, "frame count of the generated clips"),
-        Opt("inference-sigma", float, None),
-        Opt("solver", str, "heun"),
-        Opt("steps", int, None),
-        Opt("out", str, required=True),
-    ],
-    "eval": COMMON_OPTS
-    + [
-        Opt("originals", str, required=True, help="dataset dir or clip dir"),
-        Opt("transferred", str, required=True),
-        Opt("target-reference", str, required=True, help="target dataset dir"),
-        Opt("classifier-ckpt", str, required=True),
-        Opt("report", str, required=True, help="output JSON path"),
-        Opt("split", str, "test"),
-        Opt("limit", int, None),
-    ],
-    "convergence-study": COMMON_OPTS
-    + [
-        Opt("out", str, required=True),
-        Opt("methods", str, "euler,heun,rk4"),
-        Opt("step-counts", parse_int_list, [10, 20, 40, 80, 160]),
-        Opt("samples", int, 4000),
-        Opt("reference-steps", int, 5120),
-        Opt("sigma-max", float, 100.0),
-    ],
-    "sigma-ablation": COMMON_OPTS
-    + [
-        Opt("out", str, required=True),
-        Opt("source-data", str, required=True),
-        Opt("target-data", str, required=True),
-        Opt("classifier-ckpt", str, required=True),
-        Opt("ckpt", str, required=True, repeatable=True,
-            help="model checkpoints, format instrument=sigma_max=path"),
-        Opt("pairs", str, "100:100,100:50,100:20,100:5",
-            help="sigma_max:sigma_top pairs"),
-        Opt("clips", int, 200),
-    ],
-    "coupling-ablation": COMMON_OPTS
-    + [
-        Opt("out", str, required=True),
-        Opt("source-data", str, required=True),
-        Opt("target-data", str, required=True),
-        Opt("classifier-ckpt", str, required=True),
-        Opt("sigma-max", float, 100.0),
-        Opt("inference-sigma", float, 5.0),
-        Opt("train-steps", int, 4000),
-        Opt("batch-size", int, 16),
-        Opt("clips", int, 100),
-        Opt("configs", str, "0:0,4:0,4:8", "time:channel chunk pairs"),
-    ],
-    "shift-study": COMMON_OPTS
-    + [
-        Opt("out", str, required=True),
-        Opt("source-data", str, required=True),
-        Opt("target-data", str, required=True),
-        Opt("classifier-ckpt", str, required=True),
-        Opt("ckpt", str, required=True, repeatable=True),
-        Opt("shifts", parse_int_list, [0, -12, -24]),
-        Opt("sigma-max", float, 100.0),
-        Opt("inference-sigma", float, None, "default: the full sigma_max"),
-        Opt("clips", int, 128),
-    ],
-    "shared-latent": COMMON_OPTS
-    + [
-        Opt("out", str, required=True),
-        Opt("a-data", str, required=True),
-        Opt("b-data", str, required=True),
-        Opt("classifier-ckpt", str, required=True),
-        Opt("ckpt", str, required=True, repeatable=True),
-        Opt("trials", int, 100),
-        Opt("sigma-max", float, 100.0),
-        Opt("inference-sigma", float, None),
-    ],
-    "cycle-study": COMMON_OPTS
-    + [
-        Opt("out", str, required=True),
-        Opt("source-ckpt", str, required=True),
-        Opt("target-ckpt", str, required=True),
-        Opt("data", str, required=True, help="source dataset directory"),
-        Opt("step-counts", parse_int_list, [25, 50, 100, 200]),
-        Opt("inference-sigma", float, None),
-        Opt("solver", str, "heun"),
-        Opt("clips", int, 100),
-    ],
-}
+    return register
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,8 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, opts in COMMANDS.items():
-        p = sub.add_parser(command)
+    for name, (_, opts) in COMMANDS.items():
+        p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="INI or JSON config file")
         p.add_argument("-v", "--verbose", action="store_true")
         for o in opts:
@@ -259,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_and_validate(argv: list[str]) -> RunConfig:
     """argv -> validated RunConfig; flags > config file > defaults."""
     args = build_parser().parse_args(argv)
-    opts = COMMANDS[args.command]
+    opts = COMMANDS[args.command][1]
     cli_values = {o.dest: getattr(args, o.dest) for o in opts}
     sections = load_config_file(args.config) if args.config else None
     effective = merge_options(opts, args.command, cli_values, sections)
@@ -268,7 +160,7 @@ def parse_and_validate(argv: list[str]) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# path and output helpers
+# loading inputs and writing outputs
 
 
 def _out_path(value: str | Path) -> Path:
@@ -298,32 +190,9 @@ def _write_manifest(out_dir: Path, config: RunConfig, outputs: list[Path]) -> No
     (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=1))
 
 
-def _schedule_from(config: RunConfig) -> ScheduleParams:
-    return ScheduleParams(
-        sigma_min=config["sigma_min"],
-        sigma_max=config["sigma_max"],
-        rho=config["rho"],
-        n_steps=config["steps"],
-        sigma_data=config["sigma_data"],
-    )
-
-
-def _codec_from(config: RunConfig) -> FeatureCodecSpec:
-    return FeatureCodecSpec(
-        sample_rate=config["sample_rate"],
-        n_bands=config["bands"],
-        hop=config["hop"],
-        window=config["window"],
-        f_lo=config["f_lo"],
-        f_hi=config["f_hi"],
-        clip_seconds=config["clip_seconds"],
-    )
-
-
 def _load_clips(path: Path, split: str, limit) -> list[LatentClip]:
     if (path / "manifest.json").exists():
-        corpus = load_corpus(path)
-        clips = corpus.clips(split)
+        clips = load_corpus(path).clips(split)
     elif path.is_dir():
         clips = [read_clip(p) for p in sorted(path.glob("*.clip"))]
     else:
@@ -331,6 +200,30 @@ def _load_clips(path: Path, split: str, limit) -> list[LatentClip]:
     if limit:
         clips = clips[: int(limit)]
     return clips
+
+
+def _load_model(config: RunConfig, key: str) -> NeuralDenoiser:
+    """The denoiser checkpoint named by option ``key``; it must carry the
+    normalization statistics that map clips into and out of its domain."""
+    path = _out_path(config[key])
+    model = load_denoiser(path)
+    if model.stats is None:
+        raise ConfigurationError(f"{path}: checkpoint carries no normalization statistics")
+    return model
+
+
+def _bridge(config: RunConfig, source, target) -> BridgeConfig:
+    """The bridge on the source model's grid, resized by --steps when given."""
+    sched = source.schedule
+    if config.get("steps"):
+        sched = sched.with_steps(config["steps"])
+    return BridgeConfig(
+        source,
+        target,
+        sched,
+        inference_top_sigma=config.get("inference_sigma"),
+        solver_method=config["solver"],
+    )
 
 
 def _parse_ckpt_args(entries: list[str]) -> dict[tuple[str, float], Path]:
@@ -345,44 +238,86 @@ def _parse_ckpt_args(entries: list[str]) -> dict[tuple[str, float], Path]:
     return out
 
 
-def _testbed_from_files(
-    datasets: dict[str, Path],
-    ckpts: dict[tuple[str, float], Path],
-    classifier_path: Path,
-    seed: int,
-) -> Testbed:
-    corpora = {name: load_corpus(path) for name, path in datasets.items()}
+def _load_testbed(
+    config: RunConfig, data_keys=("source_data", "target_data")
+) -> tuple[Testbed, list[str]]:
+    """The two corpora, the --ckpt models and the classifier of a study, plus
+    the corpora's instrument names in ``data_keys`` order."""
+    corpora = [load_corpus(_out_path(config[key])) for key in data_keys]
+    ckpts = _parse_ckpt_args(config.get("ckpt", []))
     models = {key: load_denoiser(path) for key, path in ckpts.items()}
-    if not models:
-        raise ConfigurationError("no model checkpoints given")
-    any_model = next(iter(models.values()))
-    codec = next(iter(corpora.values())).codec
-    return Testbed(
-        codec=codec,
-        corpora=corpora,
+    testbed = Testbed(
+        codec=corpora[0].codec,
+        corpora={c.spec.instrument: c for c in corpora},
         models=models,
         reports={},
-        classifier=load_classifier(classifier_path),
-        base_schedule=any_model.schedule,
-        train_config=TrainingConfig(seed=seed),
-        seed=seed,
+        classifier=load_classifier(_out_path(config["classifier_ckpt"])),
+        base_schedule=next(iter(models.values())).schedule if models else ScheduleParams(),
+        train_config=TrainingConfig(seed=config["seed"]),
+        seed=config["seed"],
     )
+    return testbed, [c.spec.instrument for c in corpora]
 
 
-def _write_ablation_csv(path: Path, table) -> None:
+def _write_table(path: Path, header: list[str], rows) -> Path:
+    """A CSV file with a header row."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["setting", "dpd", "jaccard", "frechet", "accuracy"])
-        for row in table.rows:
-            writer.writerow([row.setting, row.dpd, row.jaccard, row.frechet, row.accuracy])
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def _write_json(path: Path, payload) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=1, default=float))
+    return path
+
+
+def _write_ablation(out: Path, stem: str, table: AblationTable, **extra) -> list[Path]:
+    rows = [dataclasses.asdict(r) for r in table.rows]
+    header = ["setting", "dpd", "jaccard", "frechet", "accuracy"]
+    return [
+        _write_table(out / f"{stem}.csv", header, [list(r.values()) for r in rows]),
+        _write_json(out / f"{stem}.json", {"rows": rows, **extra}),
+    ]
+
+
+def _write_clips(out: Path, prefix: str, clips: list[LatentClip]) -> list[Path]:
+    """``out/<prefix>-00000.clip``, ... one file per clip."""
+    out.mkdir(parents=True, exist_ok=True)
+    paths = [out / f"{prefix}-{k:05d}.clip" for k in range(len(clips))]
+    for path, clip in zip(paths, clips):
+        write_clip(path, clip)
+    return paths
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommands
 
 
+@command(
+    "synth-data",
+    *CODEC_OPTS,
+    Opt("instrument", str, required=True),
+    Opt("clips", int, 256, "training clips"),
+    Opt("test-clips", int, 64),
+    Opt("out", str, required=True),
+    Opt("augment-probability", float, 0.0, "pitch-shift augmentation probability"),
+    Opt("augment-min", int, 1),
+    Opt("augment-max", int, 25),
+)
 def _cmd_synth_data(config: RunConfig) -> list[Path]:
-    codec = _codec_from(config)
+    codec = FeatureCodecSpec(
+        sample_rate=config["sample_rate"],
+        n_bands=config["bands"],
+        hop=config["hop"],
+        window=config["window"],
+        f_lo=config["f_lo"],
+        f_hi=config["f_hi"],
+        clip_seconds=config["clip_seconds"],
+    )
     augmentation = None
     if config["augment_probability"] > 0:
         augmentation = ShiftAugmentation(
@@ -397,12 +332,23 @@ def _cmd_synth_data(config: RunConfig) -> list[Path]:
         seed=config["seed"],
         augmentation=augmentation,
     )
-    corpus = build_corpus(spec, codec)
     out = _out_path(config["out"])
-    save_corpus(out, corpus)
+    save_corpus(out, build_corpus(spec, codec))
     return [out / "manifest.json", out / "stats.json"]
 
 
+@command(
+    "train",
+    *SCHEDULE_OPTS,
+    Opt("data", str, required=True, help="dataset directory"),
+    Opt("out-ckpt", str, required=True),
+    Opt("train-steps", int, 4000),
+    Opt("batch-size", int, 16),
+    Opt("lr", float, 1e-4),
+    Opt("coupling.enabled", parse_bool, True),
+    Opt("coupling.time-chunk", int, 4),
+    Opt("coupling.channel-chunk", int, 8),
+)
 def _cmd_train(config: RunConfig) -> list[Path]:
     corpus = load_corpus(_out_path(config["data"]))
     coupling = CouplingConfig(
@@ -417,15 +363,21 @@ def _cmd_train(config: RunConfig) -> list[Path]:
         seed=config["seed"],
         coupling=coupling,
     )
+    schedule = ScheduleParams(
+        sigma_min=config["sigma_min"],
+        sigma_max=config["sigma_max"],
+        rho=config["rho"],
+        n_steps=config["steps"],
+        sigma_data=config["sigma_data"],
+    )
     model, report = train(
         corpus.normalized("train"),
-        _schedule_from(config),
+        schedule,
         tcfg,
         stats=corpus.stats,
         label=corpus.spec.instrument,
     )
     out = _out_path(config["out_ckpt"])
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_denoiser(out, model)
     log.info(
         "trained %s: final loss %.4g in %.0f s",
@@ -436,147 +388,140 @@ def _cmd_train(config: RunConfig) -> list[Path]:
     return [out, Path(str(out) + ".json")]
 
 
+@command(
+    "train-classifier",
+    Opt("data", str, required=True, repeatable=True, help="dataset directories"),
+    Opt("out-ckpt", str, required=True),
+    Opt("classifier-steps", int, 4000),
+)
 def _cmd_train_classifier(config: RunConfig) -> list[Path]:
     clips = []
     for entry in config["data"]:
-        corpus = load_corpus(_out_path(entry))
-        clips.extend(corpus.clips("train"))
+        clips.extend(load_corpus(_out_path(entry)).clips("train"))
     clf = train_timbre_classifier(
         embed_clips(clips), n_steps=config["classifier_steps"], seed=config["seed"]
     )
     out = _out_path(config["out_ckpt"])
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_classifier(out, clf)
     return [out, Path(str(out) + ".json")]
 
 
-def _bridge_from(config: RunConfig) -> tuple[BridgeConfig, object, object]:
-    source = load_denoiser(_out_path(config["source_ckpt"]))
-    target = load_denoiser(_out_path(config["target_ckpt"]))
-    sched = source.schedule
-    if config.get("steps"):
-        sched = sched.with_steps(config["steps"])
-    bridge_cfg = BridgeConfig(
-        source,
-        target,
-        sched,
-        inference_top_sigma=config.get("inference_sigma"),
-        solver_method=config["solver"],
-    )
-    return bridge_cfg, source, target
-
-
+@command(
+    "transfer",
+    *MODEL_PAIR_OPTS,
+    *CLIP_INPUT_OPTS,
+    Opt("output", str, required=True),
+    *BRIDGE_OPTS,
+)
 def _cmd_transfer(config: RunConfig) -> list[Path]:
-    bridge_cfg, source, target = _bridge_from(config)
+    source = _load_model(config, "source_ckpt")
+    target = _load_model(config, "target_ckpt")
+    bridge_cfg = _bridge(config, source, target)
     clips = _load_clips(_out_path(config["input"]), config["split"], config.get("limit"))
-    if source.stats is None or target.stats is None:
-        raise ConfigurationError("both checkpoints must carry normalization statistics")
-    x = np.stack([source.stats.normalize(c).data for c in clips])
-    out_arr = transfer(x, bridge_cfg)
+    transferred = transfer_features(clips, bridge_cfg, source.stats, target.stats)
     out = _out_path(config["output"])
-    outputs = []
-    if len(clips) == 1 and not out.suffix == "":
-        write_clip(out, LatentClip(target.stats.denormalize_array(out_arr[0]),
-                                   domain_label=target.label))
-        outputs.append(out)
-    else:
-        out.mkdir(parents=True, exist_ok=True)
-        for k, arr in enumerate(out_arr):
-            path = out / f"transfer-{k:05d}.clip"
-            write_clip(path, LatentClip(target.stats.denormalize_array(arr),
-                                        domain_label=target.label))
-            outputs.append(path)
-    return outputs
+    if len(clips) == 1 and out.suffix:
+        write_clip(out, transferred[0])
+        return [out]
+    return _write_clips(out, "transfer", transferred)
 
 
+@command(
+    "cycle-check",
+    *MODEL_PAIR_OPTS,
+    *CLIP_INPUT_OPTS,
+    Opt("output", str, None),
+    *BRIDGE_OPTS,
+    Opt("report", str, required=True, help="CSV of per-clip reconstruction errors"),
+)
 def _cmd_cycle_check(config: RunConfig) -> list[Path]:
-    bridge_cfg, source, target = _bridge_from(config)
+    source = _load_model(config, "source_ckpt")
+    bridge_cfg = _bridge(config, source, _load_model(config, "target_ckpt"))
     clips = _load_clips(_out_path(config["input"]), config["split"], config.get("limit"))
-    x = np.stack([source.stats.normalize(c).data for c in clips])
-    forward = transfer(x, bridge_cfg)
-    back = transfer(forward, bridge_cfg.swapped())
+    x = normalized_stack(clips, source.stats)
+    back = cycle(x, bridge_cfg)
     err = np.linalg.norm((back - x).reshape(len(x), -1), axis=1)
     norm = np.linalg.norm(x.reshape(len(x), -1), axis=1)
     rel = err / norm
-    report_path = _out_path(config["report"])
-    report_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(report_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["clip_index", "normalized_l2"])
-        for k, value in enumerate(rel):
-            writer.writerow([k, value])
-    outputs = [report_path]
+    outputs = [
+        _write_table(
+            _out_path(config["report"]),
+            ["clip_index", "normalized_l2"],
+            enumerate(rel),
+        )
+    ]
     if config.get("output"):
-        out = _out_path(config["output"])
-        out.mkdir(parents=True, exist_ok=True)
-        for k, arr in enumerate(back):
-            path = out / f"cycle-{k:05d}.clip"
-            write_clip(path, LatentClip(source.stats.denormalize_array(arr)))
-            outputs.append(path)
+        outputs += _write_clips(
+            _out_path(config["output"]),
+            "cycle",
+            [LatentClip(source.stats.denormalize_array(arr)) for arr in back],
+        )
     log.info("cycle reconstruction: mean %.4g, max %.4g", rel.mean(), rel.max())
     return outputs
 
 
+@command(
+    "sample-shared",
+    Opt("ckpt", str, required=True),
+    Opt("n", int, 16, "number of latents to draw"),
+    Opt("frames", int, 64, "frame count of the generated clips"),
+    *BRIDGE_OPTS,
+    Opt("out", str, required=True),
+)
 def _cmd_sample_shared(config: RunConfig) -> list[Path]:
-    model = load_denoiser(_out_path(config["ckpt"]))
-    sched = model.schedule
-    if config.get("steps"):
-        sched = sched.with_steps(config["steps"])
-    bridge_cfg = BridgeConfig(
-        model,
-        model,
-        sched,
-        inference_top_sigma=config.get("inference_sigma"),
-        solver_method=config["solver"],
-    )
+    model = _load_model(config, "ckpt")
+    bridge_cfg = _bridge(config, model, model)
     shape = (model.arch.channels, config["frames"])
     rng = np.random.default_rng(np.random.SeedSequence([config["seed"], 0x5A]))
     latents = draw_latents(config["n"], shape, bridge_cfg, rng)
-    out_arr = sample_shared(latents, model, bridge_cfg)
-    out = _out_path(config["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for k, arr in enumerate(out_arr):
-        path = out / f"sample-{k:05d}.clip"
-        write_clip(path, LatentClip(model.stats.denormalize_array(arr),
-                                    domain_label=model.label))
-        outputs.append(path)
-    return outputs
+    samples = [
+        LatentClip(model.stats.denormalize_array(arr), domain_label=model.label)
+        for arr in sample_shared(latents, model, bridge_cfg)
+    ]
+    return _write_clips(_out_path(config["out"]), "sample", samples)
 
 
+@command(
+    "eval",
+    Opt("originals", str, required=True, help="dataset dir or clip dir"),
+    Opt("transferred", str, required=True),
+    Opt("target-reference", str, required=True, help="target dataset dir"),
+    Opt("classifier-ckpt", str, required=True),
+    Opt("report", str, required=True, help="output JSON path"),
+    Opt("split", str, "test"),
+    Opt("limit", int, None),
+)
 def _cmd_eval(config: RunConfig) -> list[Path]:
-    originals = _load_clips(
-        _out_path(config["originals"]), config["split"], config.get("limit")
-    )
-    transferred = _load_clips(
-        _out_path(config["transferred"]), config["split"], config.get("limit")
+    originals, transferred = (
+        _load_clips(_out_path(config[key]), config["split"], config.get("limit"))
+        for key in ("originals", "transferred")
     )
     reference_corpus = load_corpus(_out_path(config["target_reference"]))
-    reference = reference_corpus.clips("test")
-    classifier = load_classifier(_out_path(config["classifier_ckpt"]))
     report, pairs = evaluate_transfer(
         originals,
         transferred,
-        reference,
-        classifier,
+        reference_corpus.clips("test"),
+        load_classifier(_out_path(config["classifier_ckpt"])),
         reference_corpus.codec,
         reference_corpus.spec.instrument,
     )
-    report_path = _out_path(config["report"])
-    report_path.parent.mkdir(parents=True, exist_ok=True)
-    report_path.write_text(json.dumps(report.to_dict(), indent=1))
+    report_path = _write_json(_out_path(config["report"]), report.to_dict())
     csv_path = Path(str(report_path) + ".pairs.csv")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pair_index", "dpd", "jaccard"])
-        for k, (d, j) in enumerate(pairs):
-            writer.writerow([k, d, j])
-    return [report_path, csv_path]
+    rows = [[k, d, j] for k, (d, j) in enumerate(pairs)]
+    return [report_path, _write_table(csv_path, ["pair_index", "dpd", "jaccard"], rows)]
 
 
+@command(
+    "convergence-study",
+    Opt("out", str, required=True),
+    Opt("methods", str, "euler,heun,rk4"),
+    Opt("step-counts", parse_int_list, [10, 20, 40, 80, 160]),
+    Opt("samples", int, 4000),
+    Opt("reference-steps", int, 5120),
+    Opt("sigma-max", float, 100.0),
+)
 def _cmd_convergence_study(config: RunConfig) -> list[Path]:
     source, target = demo_pair_2d()
-    schedule = ScheduleParams(sigma_max=config["sigma_max"])
     results = convergence_study(
         source,
         target,
@@ -584,217 +529,152 @@ def _cmd_convergence_study(config: RunConfig) -> list[Path]:
         config["step_counts"],
         n_samples=config["samples"],
         seed=config["seed"],
-        schedule=schedule,
+        schedule=ScheduleParams(sigma_max=config["sigma_max"]),
         reference_steps=config["reference_steps"],
     )
     out = _out_path(config["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "convergence.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["method", "n_steps", "h", "mean_l2", "transfer_l2", "tv", "slope"]
-        )
-        for res in results:
-            for p in res.points:
-                writer.writerow(
-                    [res.method, p.n_steps, p.h, p.solve_l2, p.transfer_l2, p.tv, res.slope]
-                )
-    json_path = out / "convergence.json"
-    json_path.write_text(
-        json.dumps([dataclasses.asdict(r) for r in results], indent=1, default=float)
-    )
-    return [csv_path, json_path]
+    rows = [
+        [res.method, p.n_steps, p.h, p.solve_l2, p.transfer_l2, p.tv, res.slope]
+        for res in results
+        for p in res.points
+    ]
+    header = ["method", "n_steps", "h", "mean_l2", "transfer_l2", "tv", "slope"]
+    return [
+        _write_table(out / "convergence.csv", header, rows),
+        _write_json(out / "convergence.json", [dataclasses.asdict(r) for r in results]),
+    ]
 
 
+@command(
+    "sigma-ablation",
+    *STUDY_OPTS,
+    *DATA_PAIR_OPTS,
+    CKPT_OPT,
+    Opt("pairs", str, "100:100,100:50,100:20,100:5", help="sigma_max:sigma_top pairs"),
+    Opt("clips", int, 200),
+)
 def _cmd_sigma_ablation(config: RunConfig) -> list[Path]:
-    datasets = {
-        load_corpus(_out_path(config["source_data"])).spec.instrument: _out_path(
-            config["source_data"]
-        ),
-        load_corpus(_out_path(config["target_data"])).spec.instrument: _out_path(
-            config["target_data"]
-        ),
-    }
-    names = list(datasets)
-    testbed = _testbed_from_files(
-        datasets,
-        _parse_ckpt_args(config["ckpt"]),
-        _out_path(config["classifier_ckpt"]),
-        config["seed"],
-    )
+    testbed, (source, target) = _load_testbed(config)
     pairs = [
         (float(a), float(b))
         for a, b in (pair.split(":") for pair in config["pairs"].split(","))
     ]
-    table = sigma_ablation(testbed, names[0], names[1], pairs, n_clips=config["clips"])
-    out = _out_path(config["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    _write_ablation_csv(out / "sigma_ablation.csv", table)
-    (out / "sigma_ablation.json").write_text(
-        json.dumps(
-            {"rows": [dataclasses.asdict(r) for r in table.rows], "notes": table.notes},
-            indent=1,
-        )
-    )
-    return [out / "sigma_ablation.csv", out / "sigma_ablation.json"]
+    table = sigma_ablation(testbed, source, target, pairs, n_clips=config["clips"])
+    return _write_ablation(_out_path(config["out"]), "sigma_ablation", table, notes=table.notes)
 
 
+@command(
+    "coupling-ablation",
+    *STUDY_OPTS,
+    *DATA_PAIR_OPTS,
+    Opt("sigma-max", float, 100.0),
+    Opt("inference-sigma", float, 5.0),
+    Opt("train-steps", int, 4000),
+    Opt("batch-size", int, 16),
+    Opt("clips", int, 100),
+    Opt("configs", str, "0:0,4:0,4:8", "time:channel chunk pairs"),
+)
 def _cmd_coupling_ablation(config: RunConfig) -> list[Path]:
-    src_corpus = load_corpus(_out_path(config["source_data"]))
-    tgt_corpus = load_corpus(_out_path(config["target_data"]))
-    corpora = {
-        src_corpus.spec.instrument: src_corpus,
-        tgt_corpus.spec.instrument: tgt_corpus,
-    }
+    testbed, (source, target) = _load_testbed(config)
+    testbed.train_config = TrainingConfig(
+        n_steps=config["train_steps"], batch_size=config["batch_size"], seed=config["seed"]
+    )
     configs = [
         CouplingConfig(int(t), int(c))
         for t, c in (pair.split(":") for pair in config["configs"].split(","))
     ]
-    testbed = Testbed(
-        codec=src_corpus.codec,
-        corpora=corpora,
-        models={},
-        reports={},
-        classifier=load_classifier(_out_path(config["classifier_ckpt"])),
-        base_schedule=ScheduleParams(sigma_max=config["sigma_max"]),
-        train_config=TrainingConfig(
-            n_steps=config["train_steps"],
-            batch_size=config["batch_size"],
-            seed=config["seed"],
-        ),
-        seed=config["seed"],
-    )
     table = coupling_ablation(
         testbed,
-        src_corpus.spec.instrument,
-        tgt_corpus.spec.instrument,
+        source,
+        target,
         configs,
         sigma_max=config["sigma_max"],
         sigma_top=config["inference_sigma"],
         n_clips=config["clips"],
     )
-    out = _out_path(config["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    _write_ablation_csv(out / "coupling_ablation.csv", table)
-    (out / "coupling_ablation.json").write_text(
-        json.dumps(
-            {"rows": [dataclasses.asdict(r) for r in table.rows], "notes": table.notes},
-            indent=1,
-        )
+    return _write_ablation(
+        _out_path(config["out"]), "coupling_ablation", table, notes=table.notes
     )
-    return [out / "coupling_ablation.csv", out / "coupling_ablation.json"]
 
 
+@command(
+    "shift-study",
+    *STUDY_OPTS,
+    *DATA_PAIR_OPTS,
+    CKPT_OPT,
+    Opt("shifts", parse_int_list, [0, -12, -24]),
+    Opt("sigma-max", float, 100.0),
+    Opt("inference-sigma", float, None, "default: the full sigma_max"),
+    Opt("clips", int, 128),
+)
 def _cmd_shift_study(config: RunConfig) -> list[Path]:
-    datasets = {
-        load_corpus(_out_path(config["source_data"])).spec.instrument: _out_path(
-            config["source_data"]
-        ),
-        load_corpus(_out_path(config["target_data"])).spec.instrument: _out_path(
-            config["target_data"]
-        ),
-    }
-    names = list(datasets)
-    testbed = _testbed_from_files(
-        datasets,
-        _parse_ckpt_args(config["ckpt"]),
-        _out_path(config["classifier_ckpt"]),
-        config["seed"],
-    )
+    testbed, (source, target) = _load_testbed(config)
     table = pitch_shift_study(
         testbed,
-        names[0],
-        names[1],
+        source,
+        target,
         shifts=tuple(config["shifts"]),
         sigma_max=config["sigma_max"],
         sigma_top=config.get("inference_sigma"),
         n_clips=config["clips"],
     )
-    out = _out_path(config["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    _write_ablation_csv(out / "shift_study.csv", table)
-    (out / "shift_study.json").write_text(
-        json.dumps({"rows": [dataclasses.asdict(r) for r in table.rows]}, indent=1)
-    )
-    return [out / "shift_study.csv", out / "shift_study.json"]
+    return _write_ablation(_out_path(config["out"]), "shift_study", table)
 
 
+@command(
+    "shared-latent",
+    *STUDY_OPTS,
+    Opt("a-data", str, required=True),
+    Opt("b-data", str, required=True),
+    CKPT_OPT,
+    Opt("trials", int, 100),
+    Opt("sigma-max", float, 100.0),
+    Opt("inference-sigma", float, None),
+)
 def _cmd_shared_latent(config: RunConfig) -> list[Path]:
-    datasets = {
-        load_corpus(_out_path(config["a_data"])).spec.instrument: _out_path(
-            config["a_data"]
-        ),
-        load_corpus(_out_path(config["b_data"])).spec.instrument: _out_path(
-            config["b_data"]
-        ),
-    }
-    names = list(datasets)
-    testbed = _testbed_from_files(
-        datasets,
-        _parse_ckpt_args(config["ckpt"]),
-        _out_path(config["classifier_ckpt"]),
-        config["seed"],
-    )
+    testbed, (a, b) = _load_testbed(config, ("a_data", "b_data"))
     summary = shared_latent_study(
         testbed,
-        names[0],
-        names[1],
+        a,
+        b,
         n_trials=config["trials"],
         sigma_top=config.get("inference_sigma"),
         sigma_max=config["sigma_max"],
         seed=config["seed"],
     )
-    out = _out_path(config["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "shared_latent.json"
-    path.write_text(json.dumps(dataclasses.asdict(summary), indent=1))
-    return [path]
+    out = _out_path(config["out"]) / "shared_latent.json"
+    return [_write_json(out, dataclasses.asdict(summary))]
 
 
+@command(
+    "cycle-study",
+    Opt("out", str, required=True),
+    *MODEL_PAIR_OPTS,
+    Opt("data", str, required=True, help="source dataset directory"),
+    Opt("step-counts", parse_int_list, [25, 50, 100, 200]),
+    *BRIDGE_OPTS[:2],
+    Opt("clips", int, 100),
+)
 def _cmd_cycle_study(config: RunConfig) -> list[Path]:
-    source = load_denoiser(_out_path(config["source_ckpt"]))
-    target = load_denoiser(_out_path(config["target_ckpt"]))
-    corpus = load_corpus(_out_path(config["data"]))
-    clips = corpus.clips("test")[: config["clips"]]
-    x = np.stack([source.stats.normalize(c).data for c in clips])
+    source = _load_model(config, "source_ckpt")
+    target = _load_model(config, "target_ckpt")
+    clips = load_corpus(_out_path(config["data"])).clips("test")[: config["clips"]]
     points = cycle_study(
         source,
         target,
-        x,
+        normalized_stack(clips, source.stats),
         config["step_counts"],
         source.schedule,
         sigma_top=config.get("inference_sigma"),
         method=config["solver"],
     )
     out = _out_path(config["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "cycle_study.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n_steps", "mean_normalized_l2", "wall_seconds_per_transfer"])
-        for p in points:
-            writer.writerow([p.n_steps, p.mean_normalized_l2, p.wall_seconds_per_transfer])
-    json_path = out / "cycle_study.json"
-    json_path.write_text(json.dumps([dataclasses.asdict(p) for p in points], indent=1))
-    return [csv_path, json_path]
-
-
-_DISPATCH = {
-    "synth-data": _cmd_synth_data,
-    "train": _cmd_train,
-    "train-classifier": _cmd_train_classifier,
-    "transfer": _cmd_transfer,
-    "cycle-check": _cmd_cycle_check,
-    "sample-shared": _cmd_sample_shared,
-    "eval": _cmd_eval,
-    "convergence-study": _cmd_convergence_study,
-    "sigma-ablation": _cmd_sigma_ablation,
-    "coupling-ablation": _cmd_coupling_ablation,
-    "shift-study": _cmd_shift_study,
-    "shared-latent": _cmd_shared_latent,
-    "cycle-study": _cmd_cycle_study,
-}
+    header = ["n_steps", "mean_normalized_l2", "wall_seconds_per_transfer"]
+    rows = [[p.n_steps, p.mean_normalized_l2, p.wall_seconds_per_transfer] for p in points]
+    return [
+        _write_table(out / "cycle_study.csv", header, rows),
+        _write_json(out / "cycle_study.json", [dataclasses.asdict(p) for p in points]),
+    ]
 
 
 def run(config: RunConfig) -> int:
@@ -803,7 +683,7 @@ def run(config: RunConfig) -> int:
         level=logging.DEBUG if config.get("verbose") else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    outputs = _DISPATCH[config.command](config)
+    outputs = COMMANDS[config.command][0](config)
     manifest_dir = None
     for key in ("out", "output", "out_ckpt", "report"):
         if config.get(key):
@@ -825,7 +705,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return run(config)
-    except TimbrebridgeError as exc:
+    except (TimbrebridgeError, OSError) as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 1
 

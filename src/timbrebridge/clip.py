@@ -7,7 +7,7 @@ in row-major order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,13 +43,6 @@ class LatentClip:
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape
-
-
-def require_same_shape(a: LatentClip | np.ndarray, b: LatentClip | np.ndarray) -> None:
-    sa = a.shape if isinstance(a, LatentClip) else np.asarray(a).shape
-    sb = b.shape if isinstance(b, LatentClip) else np.asarray(b).shape
-    if sa != sb:
-        raise ContractViolation(f"shape mismatch: {sa} vs {sb}")
 
 
 def write_clip(path: str | Path, clip: LatentClip) -> None:

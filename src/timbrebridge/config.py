@@ -47,12 +47,6 @@ def parse_int_list(text) -> list[int]:
     return [int(v) for v in str(text).split(",") if v.strip()]
 
 
-def parse_float_list(text) -> list[float]:
-    if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    return [float(v) for v in str(text).split(",") if v.strip()]
-
-
 @dataclass
 class RunConfig:
     """Validated effective configuration of one CLI invocation."""

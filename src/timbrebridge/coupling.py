@@ -52,14 +52,6 @@ def chunk_positions(
     ]
 
 
-def partition(batch: np.ndarray, config: CouplingConfig):
-    """Yield (position, sub-batch) pairs; sub-batches are views of shape (B, cc, tc)."""
-    if batch.ndim != 3:
-        raise ContractViolation(f"expected (B, C, T) batch, got shape {batch.shape}")
-    for pos in chunk_positions(batch.shape[1], batch.shape[2], config):
-        yield pos, batch[:, pos[0], pos[1]]
-
-
 @dataclass
 class CouplingResult:
     positions: list[tuple[slice, slice]]

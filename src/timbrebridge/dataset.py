@@ -9,7 +9,7 @@ statistics of the training split. Clip tensors are stored unnormalized.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -171,29 +171,12 @@ def save_corpus(directory: str | Path, corpus: Corpus) -> None:
         "version": MANIFEST_VERSION,
         "instrument": corpus.spec.instrument,
         "seed": corpus.spec.seed,
-        "codec": _codec_to_json(corpus.codec),
+        "codec": asdict(corpus.codec),
         "clips": entries,
     }
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=1))
     stats = {"mean": corpus.stats.mean.tolist(), "std": corpus.stats.std.tolist()}
     (directory / "stats.json").write_text(json.dumps(stats))
-
-
-def _codec_to_json(codec: FeatureCodecSpec) -> dict:
-    return {
-        "sample_rate": codec.sample_rate,
-        "n_bands": codec.n_bands,
-        "hop": codec.hop,
-        "window": codec.window,
-        "f_lo": codec.f_lo,
-        "f_hi": codec.f_hi,
-        "log_floor": codec.log_floor,
-        "clip_seconds": codec.clip_seconds,
-    }
-
-
-def codec_from_json(obj: dict) -> FeatureCodecSpec:
-    return FeatureCodecSpec(**obj)
 
 
 def load_corpus(directory: str | Path) -> Corpus:
@@ -204,7 +187,7 @@ def load_corpus(directory: str | Path) -> Corpus:
     manifest = json.loads(manifest_path.read_text())
     if manifest.get("version") != MANIFEST_VERSION:
         raise DataError(f"unsupported manifest version {manifest.get('version')}")
-    codec = codec_from_json(manifest["codec"])
+    codec = FeatureCodecSpec(**manifest["codec"])
     records = []
     for e in manifest["clips"]:
         clip = read_clip(directory / e["file"], domain_label=e["instrument"])

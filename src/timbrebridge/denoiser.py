@@ -7,12 +7,11 @@ noise level. Inference defaults to the EMA weights; ``use_ema`` flips that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import network
-from .clip import LatentClip
 from .errors import ContractViolation, DataError, DomainError
 from .featurecodec import NormalizationStats
 from .network import ArchSpec, Params
@@ -40,11 +39,6 @@ class NeuralDenoiser:
         return self.schedule.sigma_data
 
     @property
-    def clip_shape(self) -> tuple[int, int] | None:
-        # frames are free; only the channel count is fixed by the architecture
-        return None
-
-    @property
     def inference_params(self) -> Params:
         return self.ema_params if self.use_ema else self.params
 
@@ -69,26 +63,11 @@ class NeuralDenoiser:
         sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (b,)).copy()
         if np.any(sig <= 0.0):
             raise DomainError("denoise requires sigma > 0")
-        c_skip, c_out, c_in, c_noise = _coeff_arrays(sig, self.schedule.sigma_data)
-        feats = network.noise_embedding(c_noise, self.arch.noise_features)
-        f = self.network_apply(c_in[:, None, None] * xb, feats)
-        out = c_skip[:, None, None] * xb + c_out[:, None, None] * f
+        c = precond(sig, self.schedule.sigma_data)
+        feats = network.noise_embedding(c.c_noise, self.arch.noise_features)
+        f = self.network_apply(c.c_in[:, None, None] * xb, feats)
+        out = c.c_skip[:, None, None] * xb + c.c_out[:, None, None] * f
         return out[0] if squeeze else out
-
-
-def _coeff_arrays(sig: np.ndarray, sigma_data: float):
-    var = sig * sig + sigma_data * sigma_data
-    c_skip = sigma_data * sigma_data / var
-    c_out = sig * sigma_data / np.sqrt(var)
-    c_in = 1.0 / np.sqrt(var)
-    c_noise = np.log(sig) / 4.0
-    return c_skip, c_out, c_in, c_noise
-
-
-def denoise_clip(model, clip: LatentClip, sigma: float) -> LatentClip:
-    """Single-clip convenience wrapper around the batched denoiser."""
-    out = model.denoise(clip.data, float(sigma))
-    return LatentClip(out, domain_label=clip.domain_label)
 
 
 def new_denoiser(
@@ -116,20 +95,8 @@ def save_denoiser(path, model: NeuralDenoiser) -> None:
     from .checkpoint import save_checkpoint
 
     meta = {
-        "arch": {
-            "channels": model.arch.channels,
-            "width1": model.arch.width1,
-            "width2": model.arch.width2,
-            "kernel": model.arch.kernel,
-            "noise_features": model.arch.noise_features,
-        },
-        "schedule": {
-            "sigma_min": model.schedule.sigma_min,
-            "sigma_max": model.schedule.sigma_max,
-            "rho": model.schedule.rho,
-            "n_steps": model.schedule.n_steps,
-            "sigma_data": model.schedule.sigma_data,
-        },
+        "arch": asdict(model.arch),
+        "schedule": asdict(model.schedule),
         "seed": model.seed,
         "label": model.label,
         "has_stats": model.stats is not None,

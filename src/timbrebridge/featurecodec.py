@@ -65,7 +65,7 @@ def _band_matrix(codec: FeatureCodecSpec) -> np.ndarray:
 
     Each bin's nominal width is split across the bands it overlaps, so
     narrow low bands (below the bin spacing) still collect a fraction of
-    their neighbors' power and bin power inside [f_lo, f_hi) is partitioned
+    their neighbors' power and bin power inside [f_lo, f_hi) is counted
     exactly once.
     """
     n_bins = codec.window // 2 + 1

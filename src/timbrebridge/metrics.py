@@ -10,7 +10,7 @@ per-cell average cost along the optimal path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -18,6 +18,7 @@ import numpy as np
 from .clip import LatentClip
 from .errors import ConfigurationError, ContractViolation, DataError
 from .featurecodec import FeatureCodecSpec, band_energies
+from .training import AdamW, TrainingConfig
 
 PITCH_MIDI_LO = 36
 PITCH_MIDI_HI = 96
@@ -289,8 +290,7 @@ def train_timbre_classifier(
     lr: float = 1e-3,
     seed: int = 0,
 ) -> TimbreClassifier:
-    """Full-batch cross-entropy training with the same adaptive-moment recipe
-    as the denoiser (beta1 0.95, beta2 0.999, eps 1e-6, weight decay 1e-3)."""
+    """Full-batch cross-entropy training with the denoiser's AdamW settings."""
     classes = sorted(set(train.labels))
     if len(classes) < 2:
         raise DataError("need at least 2 classes")
@@ -315,12 +315,10 @@ def train_timbre_classifier(
         "w2": rng.uniform(-1, 1, (k, hidden)) / np.sqrt(hidden),
         "b2": np.zeros(k),
     }
-    m = {key: np.zeros_like(v) for key, v in params.items()}
-    v = {key: np.zeros_like(v) for key, v in params.items()}
-    beta1, beta2, eps, wd = 0.95, 0.999, 1e-6, 1e-3
+    opt = AdamW(params, TrainingConfig(lr=lr))
     onehot = np.zeros((len(y), k))
     onehot[np.arange(len(y)), y] = 1.0
-    for t in range(1, n_steps + 1):
+    for _ in range(n_steps):
         pre = xs @ params["w1"].T + params["b1"]
         hid = np.maximum(pre, 0.0)
         logits = hid @ params["w2"].T + params["b2"]
@@ -335,31 +333,15 @@ def train_timbre_classifier(
         dhid = (dlogits @ params["w2"]) * (pre > 0)
         grads["w1"] = dhid.T @ xs
         grads["b1"] = dhid.sum(axis=0)
-        for key, g in grads.items():
-            m[key] = beta1 * m[key] + (1 - beta1) * g
-            v[key] = beta2 * v[key] + (1 - beta2) * g * g
-            mh = m[key] / (1 - beta1**t)
-            vh = v[key] / (1 - beta2**t)
-            params[key] -= lr * mh / (np.sqrt(vh) + eps) + lr * wd * params[key]
+        opt.step(params, grads)
     return TimbreClassifier(classes, mean, std, **params)
 
 
 def save_classifier(path, clf: TimbreClassifier) -> None:
     from .checkpoint import save_checkpoint
 
-    save_checkpoint(
-        path,
-        "classifier",
-        {"classes": clf.classes},
-        {
-            "in_mean": clf.in_mean,
-            "in_std": clf.in_std,
-            "w1": clf.w1,
-            "b1": clf.b1,
-            "w2": clf.w2,
-            "b2": clf.b2,
-        },
-    )
+    arrays = {f.name: getattr(clf, f.name) for f in fields(clf) if f.name != "classes"}
+    save_checkpoint(path, "classifier", {"classes": clf.classes}, arrays)
 
 
 def load_classifier(path) -> TimbreClassifier:
@@ -368,9 +350,7 @@ def load_classifier(path) -> TimbreClassifier:
     kind, meta, arrays = load_checkpoint(path)
     if kind != "classifier":
         raise DataError(f"{path}: checkpoint kind {kind!r}, expected 'classifier'")
-    return TimbreClassifier(classes=list(meta["classes"]), in_mean=arrays["in_mean"],
-                            in_std=arrays["in_std"], w1=arrays["w1"], b1=arrays["b1"],
-                            w2=arrays["w2"], b2=arrays["b2"])
+    return TimbreClassifier(list(meta["classes"]), **arrays)
 
 
 # ---------------------------------------------------------------------------

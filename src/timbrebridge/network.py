@@ -82,11 +82,6 @@ def init_params(arch: ArchSpec, rng: np.random.Generator) -> Params:
     return params
 
 
-def zero_params(arch: ArchSpec) -> Params:
-    rng = np.random.default_rng(0)
-    return {k: np.zeros_like(v) for k, v in init_params(arch, rng).items()}
-
-
 def n_params(params: Params) -> int:
     return int(sum(v.size for v in params.values()))
 

@@ -135,63 +135,7 @@ def max_grid_spacing(schedule: ScheduleParams) -> float:
     return float(np.max(np.abs(np.diff(grid))))
 
 
-@dataclass
-class SweepRow:
-    method: str
-    n_steps: int
-    h: float
-    mean_l2: float
-
-
-@dataclass
-class SweepResult:
-    rows: list[SweepRow]
-    slopes: dict[str, float]
-    reference_steps: int
-
-
 def fit_loglog_slope(hs, errs) -> float:
     hs = np.asarray(hs, dtype=np.float64)
     errs = np.asarray(errs, dtype=np.float64)
     return float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
-
-
-def step_count_sweep(
-    x_batch: np.ndarray,
-    model,
-    methods: list[str],
-    step_counts: list[int],
-    schedule: ScheduleParams,
-    direction: str = "forward",
-    reference_multiplier: int = 32,
-) -> SweepResult:
-    """Endpoint error of each method/grid size against a fine Heun reference.
-
-    The reference grid has reference_multiplier * max(step_counts) nodes
-    (at least 32x, enforced), so its own discretization error is negligible
-    next to the coarse solves being measured.
-    """
-    if len(step_counts) < 3:
-        raise ConfigurationError("slope fit refused: need at least 3 step counts")
-    if reference_multiplier < 32:
-        raise ConfigurationError("reference grid must be at least 32x the finest test")
-    ref_n = reference_multiplier * max(step_counts)
-    ref = ode_solve(
-        x_batch,
-        model,
-        SolverSpec("heun", schedule.with_steps(ref_n), direction),
-    )
-    rows = []
-    slopes = {}
-    for method in methods:
-        hs, errs = [], []
-        for n in sorted(step_counts):
-            sched_n = schedule.with_steps(n)
-            out = ode_solve(x_batch, model, SolverSpec(method, sched_n, direction))
-            err = float(np.mean(np.linalg.norm((out - ref).reshape(len(ref), -1), axis=1)))
-            h = max_grid_spacing(sched_n)
-            rows.append(SweepRow(method, n, h, err))
-            hs.append(h)
-            errs.append(err)
-        slopes[method] = fit_loglog_slope(hs, errs)
-    return SweepResult(rows, slopes, ref_n)

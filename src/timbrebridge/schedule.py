@@ -8,7 +8,6 @@ in either direction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,50 +79,32 @@ def sigma_grid(params: ScheduleParams) -> np.ndarray:
     return grid
 
 
-def nearest_grid_index(params: ScheduleParams, sigma: float) -> int:
-    """Index of the grid node closest to ``sigma`` (absolute distance)."""
-    grid = sigma_grid(params)
-    return int(np.argmin(np.abs(grid - sigma)))
-
-
 @dataclass(frozen=True)
 class PrecondCoeffs:
-    """The four scalings applied around the raw network at one noise level."""
+    """The four scalings applied around the raw network, one per noise level."""
 
-    c_skip: float
-    c_out: float
-    c_in: float
-    c_noise: float | None
+    c_skip: np.ndarray
+    c_out: np.ndarray
+    c_in: np.ndarray
+    c_noise: np.ndarray | None
 
 
-def precond(sigma: float, sigma_data: float) -> PrecondCoeffs:
-    """Preconditioning coefficients at noise level ``sigma``.
+def precond(sigma, sigma_data: float) -> PrecondCoeffs:
+    """Preconditioning coefficients at noise level ``sigma`` (a scalar or an array).
 
-    ``c_noise`` is ``ln(sigma)/4`` and therefore only defined for sigma > 0;
-    at sigma == 0 it is returned as None so that the zero-noise identity
-    (c_skip=1, c_out=0) remains usable.
+    The training loss weight is ``1 / c_out**2``. ``c_noise`` is ``ln(sigma)/4``
+    and therefore only defined for sigma > 0; when any sigma is 0 it is
+    returned as None so that the zero-noise identity (c_skip=1, c_out=0)
+    remains usable.
     """
-    if sigma < 0.0:
+    sig = np.asarray(sigma, dtype=np.float64)
+    if np.any(sig < 0.0):
         raise DomainError(f"sigma must be >= 0, got {sigma}")
     if sigma_data <= 0.0:
         raise DomainError(f"sigma_data must be > 0, got {sigma_data}")
-    var = sigma * sigma + sigma_data * sigma_data
+    var = sig * sig + sigma_data * sigma_data
     c_skip = sigma_data * sigma_data / var
-    c_out = sigma * sigma_data / math.sqrt(var)
-    c_in = 1.0 / math.sqrt(var)
-    c_noise = math.log(sigma) / 4.0 if sigma > 0.0 else None
+    c_out = sig * sigma_data / np.sqrt(var)
+    c_in = 1.0 / np.sqrt(var)
+    c_noise = np.log(sig) / 4.0 if np.all(sig > 0.0) else None
     return PrecondCoeffs(c_skip, c_out, c_in, c_noise)
-
-
-def c_noise_value(sigma: float) -> float:
-    if sigma <= 0.0:
-        raise DomainError(f"c_noise undefined at sigma={sigma}")
-    return math.log(sigma) / 4.0
-
-
-def loss_weight(sigma: float, sigma_data: float) -> float:
-    """Training loss weight 1 / c_out(sigma)^2; diverges at sigma = 0."""
-    if sigma <= 0.0:
-        raise DomainError(f"loss weight diverges at sigma={sigma}")
-    c = precond(sigma, sigma_data)
-    return 1.0 / (c.c_out * c.c_out)

@@ -1,5 +1,6 @@
 """Scripted studies: solver convergence, sigma/coupling/shift ablations,
-shared-latent and cycle experiments.
+shared-latent and cycle experiments, plus the feature-domain transfer path
+(normalize, bridge, denormalize) that they and the CLI share.
 
 Every study is deterministic given its seed and returns plain result
 dataclasses; CSV/JSON serialization lives in the CLI layer.
@@ -18,7 +19,7 @@ from .coupling import CouplingConfig
 from .dataset import Corpus, CorpusSpec, build_corpus, render_melody_clip
 from .denoiser import NeuralDenoiser
 from .errors import ConfigurationError, ContractViolation, DataError, DomainError
-from .featurecodec import FeatureCodecSpec
+from .featurecodec import FeatureCodecSpec, NormalizationStats
 from .gmm import GaussianMixture, GaussianMixtureDenoiser
 from .metrics import (
     MetricsReport,
@@ -338,6 +339,24 @@ def build_testbed(
     )
 
 
+def normalized_stack(clips: list[LatentClip], stats: NormalizationStats) -> np.ndarray:
+    """Feature-domain clips as one (B, C, T) batch in normalized space."""
+    return np.stack([stats.normalize(c).data for c in clips])
+
+
+def transfer_features(
+    clips: list[LatentClip],
+    config: BridgeConfig,
+    source_stats: NormalizationStats,
+    target_stats: NormalizationStats,
+) -> list[LatentClip]:
+    """Feature-domain transfer, the one path every transfer takes: normalize
+    with the source statistics, bridge, denormalize with the target's."""
+    out = transfer(normalized_stack(clips, source_stats), config)
+    label = config.target_model.label
+    return [LatentClip(target_stats.denormalize_array(o), domain_label=label) for o in out]
+
+
 def transfer_clips(
     testbed: Testbed,
     source: str,
@@ -363,13 +382,9 @@ def transfer_clips(
     )
     if clips is None:
         clips = testbed.corpora[source].clips("test")
-    src_stats = testbed.corpora[source].stats
-    tgt_stats = testbed.corpora[target].stats
-    x = np.stack([src_stats.normalize(c).data for c in clips])
-    out = transfer(x, cfg)
-    transferred = [
-        LatentClip(tgt_stats.denormalize_array(o), domain_label=target) for o in out
-    ]
+    transferred = transfer_features(
+        clips, cfg, testbed.corpora[source].stats, testbed.corpora[target].stats
+    )
     return list(clips), transferred
 
 
@@ -415,6 +430,14 @@ def evaluate_testbed_transfer(
     return report
 
 
+def scored_row(
+    testbed: Testbed, setting: str, source: str, target: str, originals, transferred
+) -> AblationRow:
+    """One ablation row: the metrics of a transfer under the label ``setting``."""
+    r = evaluate_testbed_transfer(testbed, source, target, originals, transferred)
+    return AblationRow(setting, r.dpd, r.jaccard, r.frechet, r.classifier_accuracy)
+
+
 def trend_non_increasing(values: list[float], slack: float = 0.10) -> bool:
     """Non-increasing up to one adjacent violation of at most ``slack``."""
     violations = 0
@@ -442,18 +465,10 @@ def sigma_ablation(
         originals, transferred = transfer_clips(
             testbed, source, target, sigma_max, sigma_top, clips
         )
-        report = evaluate_testbed_transfer(testbed, source, target, originals, transferred)
-        rows.append(
-            AblationRow(
-                f"sigma_max={sigma_max:g},sigma_top={sigma_top:g}",
-                report.dpd,
-                report.jaccard,
-                report.frechet,
-                report.classifier_accuracy,
-            )
-        )
+        setting = f"sigma_max={sigma_max:g},sigma_top={sigma_top:g}"
+        rows.append(scored_row(testbed, setting, source, target, originals, transferred))
         if sigma_max == max(s for s, _ in sigma_pairs):
-            dpd_by_top[sigma_top] = report.dpd
+            dpd_by_top[sigma_top] = rows[-1].dpd
     notes = {}
     if len(dpd_by_top) >= 2:
         tops = sorted(dpd_by_top, reverse=True)
@@ -502,23 +517,10 @@ def coupling_ablation(
         bridge_cfg = BridgeConfig(
             variant[source], variant[target], sched, inference_top_sigma=sigma_top
         )
-        src_stats = testbed.corpora[source].stats
-        tgt_stats = testbed.corpora[target].stats
-        x = np.stack([src_stats.normalize(c).data for c in clips])
-        out = transfer(x, bridge_cfg)
-        transferred = [
-            LatentClip(tgt_stats.denormalize_array(o), domain_label=target) for o in out
-        ]
-        report_m = evaluate_testbed_transfer(testbed, source, target, clips, transferred)
-        rows.append(
-            AblationRow(
-                label,
-                report_m.dpd,
-                report_m.jaccard,
-                report_m.frechet,
-                report_m.classifier_accuracy,
-            )
+        transferred = transfer_features(
+            clips, bridge_cfg, testbed.corpora[source].stats, testbed.corpora[target].stats
         )
+        rows.append(scored_row(testbed, label, source, target, clips, transferred))
         costs[label] = float(np.mean(mean_costs)) if mean_costs else None
     return AblationTable(rows, {"mean_assignment_cost": costs})
 
@@ -568,15 +570,8 @@ def pitch_shift_study(
         originals, transferred = transfer_clips(
             testbed, source, target, sigma_max, sigma_top, clips
         )
-        report = evaluate_testbed_transfer(testbed, source, target, originals, transferred)
         rows.append(
-            AblationRow(
-                f"shift={shift}",
-                report.dpd,
-                report.jaccard,
-                report.frechet,
-                report.classifier_accuracy,
-            )
+            scored_row(testbed, f"shift={shift}", source, target, originals, transferred)
         )
     return AblationTable(rows)
 

@@ -16,11 +16,11 @@ import numpy as np
 from . import network
 from .clip import LatentClip
 from .coupling import CouplingConfig, couple_noise
-from .denoiser import NeuralDenoiser, _coeff_arrays, new_denoiser
+from .denoiser import NeuralDenoiser, new_denoiser
 from .errors import ConfigurationError, DivergenceError
 from .featurecodec import NormalizationStats
 from .network import ArchSpec, Params
-from .schedule import ScheduleParams, sigma_grid
+from .schedule import ScheduleParams, precond, sigma_grid
 
 log = logging.getLogger(__name__)
 
@@ -96,21 +96,21 @@ def batch_loss_and_grads(
         params = model.params
     b = x0.shape[0]
     x_noisy = x0 + sigmas[:, None, None] * noise
-    c_skip, c_out, c_in, c_noise = _coeff_arrays(sigmas, model.schedule.sigma_data)
-    feats = network.noise_embedding(c_noise, model.arch.noise_features)
+    c = precond(sigmas, model.schedule.sigma_data)
+    feats = network.noise_embedding(c.c_noise, model.arch.noise_features)
     f, cache = network.forward(
-        params, model.arch, c_in[:, None, None] * x_noisy, feats, want_cache=True
+        params, model.arch, c.c_in[:, None, None] * x_noisy, feats, want_cache=True
     )
-    denoised = c_skip[:, None, None] * x_noisy + c_out[:, None, None] * f
+    denoised = c.c_skip[:, None, None] * x_noisy + c.c_out[:, None, None] * f
     resid = denoised - x0
     # lambda(sigma) = 1/c_out^2, applied to the per-sample element mean
-    lam = 1.0 / (c_out * c_out)
+    lam = 1.0 / (c.c_out * c.c_out)
     per_sample = np.mean(resid * resid, axis=(1, 2))
     loss = float(np.mean(lam * per_sample))
     dresid = (2.0 / (b * resid.shape[1] * resid.shape[2])) * (
         lam[:, None, None] * resid
     )
-    df = c_out[:, None, None] * dresid
+    df = c.c_out[:, None, None] * dresid
     grads = network.backward(params, model.arch, cache, df)
     return loss, grads
 

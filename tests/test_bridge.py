@@ -146,3 +146,20 @@ def test_swapped_roles(pair):
     cfg = BridgeConfig(dsrc, dtgt, SCHED)
     swapped = cfg.swapped()
     assert swapped.source_model is dtgt and swapped.target_model is dsrc
+
+
+def test_model_schedules_checked_against_bridge(tiny_arch):
+    from timbrebridge.denoiser import new_denoiser
+
+    full = new_denoiser(tiny_arch, SCHED)
+    low = new_denoiser(tiny_arch, ScheduleParams(sigma_max=5.0))
+    # a model trained up to sigma 5 cannot serve a top level above 5
+    with pytest.raises(ConfigurationError, match="sigma_max"):
+        BridgeConfig(full, low, SCHED)
+    with pytest.raises(ConfigurationError, match="sigma_max"):
+        BridgeConfig(low, full, SCHED, inference_top_sigma=20.0)
+    assert BridgeConfig(full, low, SCHED, inference_top_sigma=5.0).top_sigma <= 5.0
+    # the grid shape must agree, whatever the top level
+    for other in (ScheduleParams(sigma_max=5.0, rho=7.0), ScheduleParams(sigma_min=0.02)):
+        with pytest.raises(ConfigurationError, match="rho"):
+            BridgeConfig(full, new_denoiser(tiny_arch, other), SCHED, inference_top_sigma=1.0)

@@ -185,3 +185,72 @@ def test_out_root_env(tmp_path, monkeypatch):
     ])
     assert code == 0
     assert (tmp_path / "envds" / "manifest.json").exists()
+
+
+def test_jobs_flag_removed(tmp_path):
+    assert run_cli(["synth-data", "--instrument", "flute_like", "--out",
+                    str(tmp_path / "d"), "--jobs", "2"]).returncode == 2
+    ini = tmp_path / "run.ini"
+    ini.write_text("[common]\njobs = 2\n")
+    with pytest.raises(ConfigurationError, match="jobs"):
+        parse_and_validate(["synth-data", "--config", str(ini), "--instrument",
+                            "flute_like", "--out", str(tmp_path / "d")])
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+    return err
+
+
+def test_missing_checkpoint_is_one_line_error(tmp_path, capsys):
+    code = main([
+        "transfer", "--source-ckpt", str(tmp_path / "missing.tbc"),
+        "--target-ckpt", str(tmp_path / "missing.tbc"),
+        "--input", str(tmp_path), "--output", str(tmp_path / "o"),
+    ])
+    assert code == 1
+    assert "FileNotFoundError" in _one_line_error(capsys)
+
+
+@pytest.fixture()
+def no_stats_ckpt(tmp_path, tiny_arch):
+    from timbrebridge.denoiser import new_denoiser, save_denoiser
+    from timbrebridge.schedule import ScheduleParams
+
+    path = tmp_path / "nostats.tbc"
+    save_denoiser(path, new_denoiser(tiny_arch, ScheduleParams()))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["cycle-check", "sample-shared", "cycle-study"])
+def test_checkpoint_without_stats_is_one_line_error(
+    command, pipeline, no_stats_ckpt, tmp_path, capsys
+):
+    flute = str(pipeline / "flute")
+    args = {
+        "cycle-check": ["--source-ckpt", no_stats_ckpt, "--target-ckpt", no_stats_ckpt,
+                        "--input", flute, "--report", str(tmp_path / "c.csv")],
+        "sample-shared": ["--ckpt", no_stats_ckpt, "--out", str(tmp_path / "s")],
+        "cycle-study": ["--source-ckpt", no_stats_ckpt, "--target-ckpt", no_stats_ckpt,
+                        "--data", flute, "--out", str(tmp_path / "cs")],
+    }[command]
+    assert main([command, *args]) == 1
+    assert "normalization statistics" in _one_line_error(capsys)
+
+
+def test_transfer_rejects_target_schedule_mismatch(pipeline, tmp_path, capsys):
+    from timbrebridge.denoiser import load_denoiser, save_denoiser
+    from timbrebridge.schedule import ScheduleParams
+
+    violin = load_denoiser(pipeline / "ckpt" / "violin.tbc")
+    violin.schedule = ScheduleParams(sigma_max=5.0)
+    save_denoiser(tmp_path / "violin5.tbc", violin)
+    args = [
+        "transfer", "--source-ckpt", str(pipeline / "ckpt" / "flute.tbc"),
+        "--target-ckpt", str(tmp_path / "violin5.tbc"),
+        "--input", str(pipeline / "flute"), "--output", str(tmp_path / "o"),
+    ]
+    assert main(args) == 1  # full grid: top sigma 100 > the target's 5
+    assert "sigma_max" in _one_line_error(capsys)
+    assert main([*args, "--inference-sigma", "5", "--limit", "1"]) == 0

@@ -58,7 +58,8 @@ def test_gradients_with_odd_time_padding(tiny_arch):
 
 
 def test_zero_weights_zero_output(tiny_arch):
-    params = network.zero_params(tiny_arch)
+    shapes = network.init_params(tiny_arch, np.random.default_rng(0))
+    params = {k: np.zeros_like(v) for k, v in shapes.items()}
     x = np.random.default_rng(3).standard_normal((2, 2, 8))
     feats = network.noise_embedding(np.zeros(2), tiny_arch.noise_features)
     assert np.all(network.forward(params, tiny_arch, x, feats) == 0.0)

@@ -12,9 +12,9 @@ from timbrebridge.pfode import (
     max_grid_spacing,
     ode_solve,
     solve_sigma_path,
-    step_count_sweep,
 )
 from timbrebridge.schedule import ScheduleParams
+from timbrebridge.studies import convergence_study
 
 UNIT = GaussianMixtureDenoiser(standard_normal_mixture(2), (2, 1))
 
@@ -129,25 +129,16 @@ def test_sigma_path_segments():
 
 
 def test_step_count_sweep_orders():
-    src, _ = demo_pair_2d()
-    den = GaussianMixtureDenoiser(src, (2, 1))
-    xs = den.sample_clips(300, np.random.default_rng(3))
-    sched = ScheduleParams()
-    res = step_count_sweep(
-        xs, den, ["euler", "heun", "rk4"], [10, 20, 40, 80, 160], sched, "forward"
+    src, tgt = demo_pair_2d()
+    results = convergence_study(
+        src, tgt, ["euler", "heun", "rk4"], [10, 20, 40, 80, 160], n_samples=300,
+        seed=3, tv_reference_samples=20_000,
     )
-    assert 0.8 <= res.slopes["euler"] <= 1.2
-    assert 1.7 <= res.slopes["heun"] <= 2.3
-    assert res.slopes["rk4"] >= 3.0
-    assert res.reference_steps >= 32 * 160
-
-
-def test_step_count_sweep_refuses_sparse():
-    src, _ = demo_pair_2d()
-    den = GaussianMixtureDenoiser(src, (2, 1))
-    xs = den.sample_clips(10, np.random.default_rng(4))
-    with pytest.raises(ConfigurationError):
-        step_count_sweep(xs, den, ["heun"], [10, 20], ScheduleParams(), "forward")
+    slopes = {r.method: r.slope for r in results}
+    assert 0.8 <= slopes["euler"] <= 1.2
+    assert 1.7 <= slopes["heun"] <= 2.3
+    assert slopes["rk4"] >= 3.0
+    assert all(r.reference_steps >= 32 * 160 for r in results)
 
 
 def test_max_grid_spacing_monotone_in_n():

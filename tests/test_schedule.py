@@ -6,14 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timbrebridge.errors import ConfigurationError, ContractViolation, DomainError
-from timbrebridge.schedule import (
-    ScheduleParams,
-    loss_weight,
-    nearest_grid_index,
-    precond,
-    sigma_at,
-    sigma_grid,
-)
+from timbrebridge.bridge import BridgeConfig
+from timbrebridge.gmm import GaussianMixtureDenoiser, standard_normal_mixture
+from timbrebridge.schedule import ScheduleParams, precond, sigma_at, sigma_grid
 
 PAPER_PARAMS = ScheduleParams(sigma_min=0.01, sigma_max=100.0, rho=9.0, n_steps=100)
 
@@ -96,20 +91,28 @@ def test_precond_identity_property(sigma, sigma_data):
 
 
 def test_loss_weight_values():
-    assert loss_weight(1.0, 1.0) == pytest.approx(2.0)
-    assert loss_weight(0.01, 1.0) == pytest.approx(10001.0, rel=1e-10)
-
-
-def test_loss_weight_domain_error():
-    with pytest.raises(DomainError):
-        loss_weight(0.0, 1.0)
+    # the training loss weight lambda(sigma) = 1 / c_out(sigma)^2
+    assert 1.0 / precond(1.0, 1.0).c_out ** 2 == pytest.approx(2.0)
+    assert 1.0 / precond(0.01, 1.0).c_out ** 2 == pytest.approx(10001.0, rel=1e-10)
 
 
 def test_c_noise_domain_error():
-    from timbrebridge.schedule import c_noise_value
-
+    assert precond(0.0, 1.0).c_noise is None  # ln(sigma)/4 is undefined at 0
     with pytest.raises(DomainError):
-        c_noise_value(0.0)
+        precond(-1.0, 1.0)
+    with pytest.raises(DomainError):
+        precond(np.array([1.0, -0.5]), 1.0)
+    with pytest.raises(DomainError):
+        precond(1.0, 0.0)
+
+
+def test_precond_vectorised_matches_scalar():
+    sigmas = sigma_grid(PAPER_PARAMS)
+    c = precond(sigmas, 1.5)
+    for k in (0, 37, 99):
+        one = precond(sigmas[k], 1.5)
+        assert c.c_skip[k] == one.c_skip and c.c_out[k] == one.c_out
+        assert c.c_in[k] == one.c_in and c.c_noise[k] == one.c_noise
 
 
 def test_invalid_params_rejected():
@@ -124,6 +127,11 @@ def test_invalid_params_rejected():
 
 
 def test_nearest_grid_index():
-    assert nearest_grid_index(PAPER_PARAMS, 0.01) == 0
-    assert nearest_grid_index(PAPER_PARAMS, 100.0) == 99
-    assert nearest_grid_index(PAPER_PARAMS, 5.0) == 55
+    unit = GaussianMixtureDenoiser(standard_normal_mixture(2), (2, 1))
+
+    def top_index(sigma):
+        return BridgeConfig(unit, unit, PAPER_PARAMS, inference_top_sigma=sigma).top_index()
+
+    assert top_index(0.01) == 0
+    assert top_index(100.0) == 99
+    assert top_index(5.0) == 55

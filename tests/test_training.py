@@ -5,7 +5,7 @@ from timbrebridge.clip import LatentClip
 from timbrebridge.coupling import CouplingConfig
 from timbrebridge.denoiser import new_denoiser
 from timbrebridge.errors import ConfigurationError
-from timbrebridge.network import ArchSpec, n_params, zero_params
+from timbrebridge.network import ArchSpec, n_params
 from timbrebridge.schedule import ScheduleParams, precond, sigma_grid
 from timbrebridge.training import (
     AdamW,
@@ -21,7 +21,7 @@ SCHED = ScheduleParams()
 
 def test_loss_at_zero_network_matches_closed_form(tiny_arch):
     model = new_denoiser(tiny_arch, SCHED, seed=1)
-    model.params = zero_params(tiny_arch)
+    model.params = {k: np.zeros_like(v) for k, v in model.params.items()}
     rng = np.random.default_rng(0)
     x0 = rng.standard_normal((8, 2, 8))
     eps = rng.standard_normal(x0.shape)
