@@ -27,26 +27,26 @@ def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", default="testbed")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--clips", type=int, default=256)
+    ap.add_argument("--clips", type=int, help="training clips (default: synth-data's)")
     ap.add_argument("--test-clips", type=int, default=200)
-    ap.add_argument("--train-steps", type=int, default=4000)
+    ap.add_argument("--train-steps", type=int, help="steps per denoiser (default: train's)")
     args = ap.parse_args()
     out = args.out
+    clips = ["--clips", args.clips] if args.clips else []
+    steps = ["--train-steps", args.train_steps] if args.train_steps else []
 
     for k, name in enumerate(("flute_like", "violin_like", "bassoon_like")):
         extra = ["--augment-probability", "0.35"] if name == "flute_like" else []
-        sh("synth-data", "--instrument", name, "--clips", args.clips,
+        sh("synth-data", "--instrument", name, *clips,
            "--test-clips", args.test_clips, "--seed", args.seed * 1000 + k,
            "--out", f"{out}/data/{name}", *extra)
     for k, name in enumerate(("flute_like", "violin_like", "bassoon_like")):
         sh("train", "--data", f"{out}/data/{name}",
-           "--out-ckpt", f"{out}/ckpt/{name}-100.tbc",
-           "--train-steps", args.train_steps, "--sigma-max", "100",
+           "--out-ckpt", f"{out}/ckpt/{name}-100.tbc", *steps,
            "--seed", args.seed * 100 + k)
     for k, name in enumerate(("flute_like", "violin_like")):
         sh("train", "--data", f"{out}/data/{name}",
-           "--out-ckpt", f"{out}/ckpt/{name}-5.tbc",
-           "--train-steps", args.train_steps, "--sigma-max", "5",
+           "--out-ckpt", f"{out}/ckpt/{name}-5.tbc", *steps, "--sigma-max", "5",
            "--seed", 50 + args.seed * 100 + k)
     sh("train-classifier",
        "--data", f"{out}/data/flute_like",

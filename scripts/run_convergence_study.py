@@ -11,15 +11,8 @@ def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--out", default="results/convergence")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--samples", type=int, default=4000)
-    args = ap.parse_args()
-    sys.exit(cli([
-        "convergence-study", "--out", args.out, "--seed", str(args.seed),
-        "--samples", str(args.samples),
-        "--methods", "euler,heun,rk4",
-        "--step-counts", "10,20,40,80,160",
-        "--reference-steps", "5120",
-    ]))
+    args, extra = ap.parse_known_args()
+    sys.exit(cli(["convergence-study", "--out", args.out, "--seed", str(args.seed), *extra]))
 
 
 if __name__ == "__main__":

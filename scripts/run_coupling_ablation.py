@@ -12,16 +12,14 @@ def main() -> None:
     ap.add_argument("--testbed", default="testbed")
     ap.add_argument("--out", default="results/coupling_ablation")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--train-steps", type=int, default=4000)
-    args = ap.parse_args()
+    args, extra = ap.parse_known_args()
     tb = args.testbed
     sys.exit(cli([
         "coupling-ablation", "--out", args.out, "--seed", str(args.seed),
         "--source-data", f"{tb}/data/flute_like",
         "--target-data", f"{tb}/data/violin_like",
         "--classifier-ckpt", f"{tb}/ckpt/classifier.tbc",
-        "--train-steps", str(args.train_steps),
-        "--configs", "0:0,4:0,4:8",
+        *extra,
     ]))
 
 

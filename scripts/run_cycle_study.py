@@ -12,14 +12,14 @@ def main() -> None:
     ap.add_argument("--testbed", default="testbed")
     ap.add_argument("--out", default="results/cycle_study")
     ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args()
+    args, extra = ap.parse_known_args()
     tb = args.testbed
     sys.exit(cli([
         "cycle-study", "--out", args.out, "--seed", str(args.seed),
         "--source-ckpt", f"{tb}/ckpt/flute_like-100.tbc",
         "--target-ckpt", f"{tb}/ckpt/violin_like-100.tbc",
         "--data", f"{tb}/data/flute_like",
-        "--step-counts", "25,50,100,200",
+        *extra,
     ]))
 
 

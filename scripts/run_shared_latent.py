@@ -12,17 +12,16 @@ def main() -> None:
     ap.add_argument("--testbed", default="testbed")
     ap.add_argument("--out", default="results/shared_latent")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--trials", type=int, default=100)
-    args = ap.parse_args()
+    args, extra = ap.parse_known_args()
     tb = args.testbed
     sys.exit(cli([
         "shared-latent", "--out", args.out, "--seed", str(args.seed),
         "--a-data", f"{tb}/data/flute_like",
         "--b-data", f"{tb}/data/violin_like",
         "--classifier-ckpt", f"{tb}/ckpt/classifier.tbc",
-        "--ckpt", f"flute_like=100={tb}/ckpt/flute_like-100.tbc",
-        "--ckpt", f"violin_like=100={tb}/ckpt/violin_like-100.tbc",
-        "--trials", str(args.trials),
+        "--ckpt", f"{tb}/ckpt/flute_like-100.tbc",
+        "--ckpt", f"{tb}/ckpt/violin_like-100.tbc",
+        *extra,
     ]))
 
 

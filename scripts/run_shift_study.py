@@ -12,16 +12,16 @@ def main() -> None:
     ap.add_argument("--testbed", default="testbed")
     ap.add_argument("--out", default="results/shift_study")
     ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args()
+    args, extra = ap.parse_known_args()
     tb = args.testbed
     sys.exit(cli([
         "shift-study", "--out", args.out, "--seed", str(args.seed),
         "--source-data", f"{tb}/data/flute_like",
         "--target-data", f"{tb}/data/bassoon_like",
         "--classifier-ckpt", f"{tb}/ckpt/classifier.tbc",
-        "--ckpt", f"flute_like=100={tb}/ckpt/flute_like-100.tbc",
-        "--ckpt", f"bassoon_like=100={tb}/ckpt/bassoon_like-100.tbc",
-        "--shifts", "0,-12,-24",
+        "--ckpt", f"{tb}/ckpt/flute_like-100.tbc",
+        "--ckpt", f"{tb}/ckpt/bassoon_like-100.tbc",
+        *extra,
     ]))
 
 

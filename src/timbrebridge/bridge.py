@@ -16,8 +16,6 @@ from .errors import ConfigurationError, ContractViolation, DataError
 from .pfode import SolverSpec, ode_solve
 from .schedule import ScheduleParams, sigma_grid
 
-SNAP_REL_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class BridgeConfig:
@@ -26,7 +24,6 @@ class BridgeConfig:
     schedule: ScheduleParams
     inference_top_sigma: float | None = None  # None means the full grid
     solver_method: str = "heun"
-    snap_top_sigma: bool = True
 
     def __post_init__(self):
         src_shape = getattr(self.source_model, "clip_shape", None)
@@ -35,7 +32,7 @@ class BridgeConfig:
             raise ConfigurationError(
                 f"models disagree on clip shape: {src_shape} vs {tgt_shape}"
             )
-        top = self.top_sigma  # validate snapping now, not at solve time
+        top = self.top_sigma  # validate the top level now, not at solve time
         sched = self.schedule
         for name, model in (("source", self.source_model), ("target", self.target_model)):
             sd = getattr(model, "sigma_data", None)
@@ -60,7 +57,7 @@ class BridgeConfig:
                 )
 
     def top_index(self) -> int:
-        """Grid index of the inference top noise level."""
+        """Index of the grid node nearest the inference top noise level."""
         if self.inference_top_sigma is None:
             return self.schedule.n_steps - 1
         grid = sigma_grid(self.schedule)
@@ -69,16 +66,7 @@ class BridgeConfig:
                 f"inference top sigma {self.inference_top_sigma} outside "
                 f"[{grid[0]}, {grid[-1]}]"
             )
-        idx = int(np.argmin(np.abs(grid - self.inference_top_sigma)))
-        off = abs(grid[idx] - self.inference_top_sigma)
-        if not self.snap_top_sigma and off > SNAP_REL_TOL * max(
-            1.0, abs(self.inference_top_sigma)
-        ):
-            raise ConfigurationError(
-                f"requested top sigma {self.inference_top_sigma} is not a grid node "
-                f"(nearest is {grid[idx]}) and snapping is disabled"
-            )
-        return idx
+        return int(np.argmin(np.abs(grid - self.inference_top_sigma)))
 
     @property
     def top_sigma(self) -> float:

@@ -9,6 +9,7 @@ float32 little-endian arrays concatenated in manifest order. The sidecar
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,9 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]:
+    """(kind, metadata, arrays) of a checkpoint file; a file that is cut short,
+    has an unreadable header or carries bytes past its last array raises
+    DataError."""
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < 16 or raw[:8] != CHECKPOINT_MAGIC:
@@ -51,16 +55,23 @@ def load_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]
     version, header_len = np.frombuffer(raw[8:16], dtype="<u4")
     if int(version) != CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {int(version)}")
-    header = json.loads(raw[16 : 16 + int(header_len)].decode("utf-8"))
     offset = 16 + int(header_len)
+    try:
+        header = json.loads(raw[16:offset].decode("utf-8"))
+        kind, metadata = header["kind"], header["metadata"]
+        manifest = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: unreadable checkpoint header ({exc})") from None
     arrays = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + 4 * count
+    for name, shape in manifest:
+        if not all(isinstance(n, int) and n >= 0 for n in shape):
+            raise DataError(f"{path}: bad shape {list(shape)} of array {name!r}")
+        end = offset + 4 * math.prod(shape)
         if end > len(raw):
             raise DataError(f"{path}: truncated checkpoint")
         arr = np.frombuffer(raw[offset:end], dtype="<f4").reshape(shape)
-        arrays[entry["name"]] = arr.astype(np.float64)
+        arrays[name] = arr.astype(np.float64)
         offset = end
-    return header["kind"], header["metadata"], arrays
+    if offset != len(raw):
+        raise DataError(f"{path}: {len(raw) - offset} bytes past the last array")
+    return kind, metadata, arrays

@@ -110,7 +110,7 @@ DATA_PAIR_OPTS = [
 ]
 CKPT_OPT = Opt(
     "ckpt", str, required=True, repeatable=True,
-    help="model checkpoints, format instrument=sigma_max=path",
+    help="model checkpoint; its instrument and sigma_max are read from the file",
 )
 
 Handler = Callable[[RunConfig], list[Path]]
@@ -226,26 +226,25 @@ def _bridge(config: RunConfig, source, target) -> BridgeConfig:
     )
 
 
-def _parse_ckpt_args(entries: list[str]) -> dict[tuple[str, float], Path]:
-    out = {}
-    for entry in entries:
-        parts = entry.split("=")
-        if len(parts) != 3:
-            raise ConfigurationError(
-                f"--ckpt expects instrument=sigma_max=path, got {entry!r}"
-            )
-        out[(parts[0], float(parts[1]))] = Path(parts[2])
-    return out
-
-
 def _load_testbed(
     config: RunConfig, data_keys=("source_data", "target_data")
 ) -> tuple[Testbed, list[str]]:
     """The two corpora, the --ckpt models and the classifier of a study, plus
-    the corpora's instrument names in ``data_keys`` order."""
+    the corpora's instrument names in ``data_keys`` order. Each model is keyed
+    by the instrument label and the sigma_max its checkpoint records."""
     corpora = [load_corpus(_out_path(config[key])) for key in data_keys]
-    ckpts = _parse_ckpt_args(config.get("ckpt", []))
-    models = {key: load_denoiser(path) for key, path in ckpts.items()}
+    models = {}
+    for entry in config.get("ckpt", []):
+        path = _out_path(entry)
+        model = load_denoiser(path)
+        if model.label is None:
+            raise ConfigurationError(f"{path}: checkpoint carries no instrument label")
+        key = (model.label, model.schedule.sigma_max)
+        if key in models:
+            raise ConfigurationError(
+                f"{path}: a second checkpoint for {key[0]!r} at sigma_max={key[1]:g}"
+            )
+        models[key] = model
     testbed = Testbed(
         codec=corpora[0].codec,
         corpora={c.spec.instrument: c for c in corpora},
@@ -505,7 +504,7 @@ def _cmd_eval(config: RunConfig) -> list[Path]:
         reference_corpus.codec,
         reference_corpus.spec.instrument,
     )
-    report_path = _write_json(_out_path(config["report"]), report.to_dict())
+    report_path = _write_json(_out_path(config["report"]), dataclasses.asdict(report))
     csv_path = Path(str(report_path) + ".pairs.csv")
     rows = [[k, d, j] for k, (d, j) in enumerate(pairs)]
     return [report_path, _write_table(csv_path, ["pair_index", "dpd", "jaccard"], rows)]

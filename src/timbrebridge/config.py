@@ -78,7 +78,10 @@ def load_config_file(path: str | Path) -> dict[str, dict[str, Any]]:
         raise ConfigurationError(f"config file not found: {path}")
     text = path.read_text()
     if path.suffix == ".json" or text.lstrip().startswith("{"):
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{path}: malformed JSON ({exc})") from None
         if not isinstance(obj, dict):
             raise ConfigurationError(f"{path}: JSON config must be an object")
         out: dict[str, dict[str, Any]] = {}

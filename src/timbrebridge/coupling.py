@@ -26,7 +26,6 @@ class CouplingConfig:
     time_chunk: int = DEFAULT_TIME_CHUNK
     channel_chunk: int = DEFAULT_CHANNEL_CHUNK
     enabled: bool = True
-    max_exact_batch: int = MAX_EXACT_BATCH
 
     def __post_init__(self):
         if self.time_chunk < 0 or self.channel_chunk < 0:
@@ -77,36 +76,46 @@ def ot_pair(
     b = data_batch.shape[0]
     if b < 1:
         raise ContractViolation("batch must contain at least one clip")
-    if b > config.max_exact_batch:
+    if b > MAX_EXACT_BATCH:
         raise ConfigurationError(
             f"batch size {b} exceeds the exact-assignment limit "
-            f"{config.max_exact_batch}; use a smaller batch"
+            f"{MAX_EXACT_BATCH}; use a smaller batch"
         )
     positions = chunk_positions(data_batch.shape[1], data_batch.shape[2], config)
+    # (P, B, n): the B flattened chunks at each position, positions in the
+    # order chunk_positions lists them
+    d = _chunk_rows(data_batch, positions)
+    e = _chunk_rows(noise_batch, positions)
+    # ||d_i - e_j||^2 expanded; the Hungarian solver needs the full matrices
+    cost = (
+        np.sum(d * d, axis=2)[:, :, None]
+        + np.sum(e * e, axis=2)[:, None, :]
+        - 2.0 * d @ e.transpose(0, 2, 1)
+    )
     perms = np.empty((len(positions), b), dtype=np.int64)
     costs = np.empty(len(positions))
     id_costs = np.empty(len(positions))
-    for p, (cs, ts) in enumerate(positions):
-        d = data_batch[:, cs, ts].reshape(b, -1)
-        e = noise_batch[:, cs, ts].reshape(b, -1)
-        # ||d_i - e_j||^2 expanded; the Hungarian solver needs the full matrix
-        cost = (
-            np.sum(d * d, axis=1)[:, None]
-            + np.sum(e * e, axis=1)[None, :]
-            - 2.0 * d @ e.T
-        )
-        rows, cols = linear_sum_assignment(cost)
+    for p, c in enumerate(cost):
+        rows, cols = linear_sum_assignment(c)
         perms[p] = cols[np.argsort(rows)]
-        costs[p] = float(cost[rows, cols].sum())
-        id_costs[p] = float(np.trace(cost))
+        costs[p] = float(c[rows, cols].sum())
+        id_costs[p] = float(np.trace(c))
     return CouplingResult(positions, perms, costs, id_costs)
+
+
+def _chunk_rows(batch: np.ndarray, positions: list[tuple[slice, slice]]) -> np.ndarray:
+    b, channels, frames = batch.shape
+    cc = positions[0][0].stop - positions[0][0].start
+    tc = positions[0][1].stop - positions[0][1].start
+    blocks = batch.reshape(b, channels // cc, cc, frames // tc, tc)
+    return blocks.transpose(1, 3, 0, 2, 4).reshape(len(positions), b, cc * tc)
 
 
 def apply_coupling(noise_batch: np.ndarray, result: CouplingResult) -> np.ndarray:
     """Rebuild the noise batch with each chunk position permuted independently."""
     out = np.empty_like(noise_batch)
     for (cs, ts), perm in zip(result.positions, result.permutations):
-        out[:, cs, ts] = noise_batch[perm][:, cs, ts]
+        out[:, cs, ts] = noise_batch[perm, cs, ts]
     return out
 
 

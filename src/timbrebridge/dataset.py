@@ -24,6 +24,7 @@ from .featurecodec import (
 )
 from .synthdata import (
     HOME_REGISTERS,
+    TEMPO_RANGE,
     Melody,
     NoteEvent,
     ShiftAugmentation,
@@ -42,18 +43,13 @@ class CorpusSpec:
     n_train: int = 384
     n_test: int = 200
     seed: int = 0
-    gen_register: tuple[int, int] | None = None  # defaults to the home register
-    tempo_range: tuple[float, float] = (210.0, 270.0)
     augmentation: ShiftAugmentation | None = None
 
     def register(self) -> tuple[int, int]:
-        if self.gen_register is not None:
-            return self.gen_register
+        """The instrument's home register, where melodies are generated."""
         if self.instrument in HOME_REGISTERS:
             return HOME_REGISTERS[self.instrument]
-        raise ConfigurationError(
-            f"no home register known for {self.instrument!r}; pass gen_register"
-        )
+        raise ConfigurationError(f"no home register known for {self.instrument!r}")
 
 
 @dataclass
@@ -89,7 +85,6 @@ def render_melody_clip(
     melody: Melody,
     instrument_name: str,
     codec: FeatureCodecSpec,
-    stats: NormalizationStats | None = None,
     noise_seed: int = 0,
 ) -> LatentClip:
     """Synthesize a melody and encode it, padded/truncated to the fixed clip length."""
@@ -98,7 +93,7 @@ def render_melody_clip(
     n = codec.clip_samples
     wave = np.pad(wave, (0, max(0, n - len(wave))))[:n]
     wave = wave + NOISE_FLOOR * np.random.default_rng(noise_seed).standard_normal(n)
-    return features(wave, codec, stats=stats, domain_label=instrument_name)
+    return features(wave, codec, domain_label=instrument_name)
 
 
 def build_corpus(spec: CorpusSpec, codec: FeatureCodecSpec) -> Corpus:
@@ -110,11 +105,10 @@ def build_corpus(spec: CorpusSpec, codec: FeatureCodecSpec) -> Corpus:
     records: list[ClipRecord] = []
     for k, mseed in enumerate(melody_seeds):
         split = "train" if k < spec.n_train else "test"
-        tempo = spec.tempo_range
         seed_int = int(mseed.generate_state(1)[0])
-        # enough notes to cover the clip at the slowest admissible tempo
-        n_notes = int(np.ceil(codec.clip_seconds * tempo[1] / 60.0)) + 1
-        melody = gen_melody(seed_int, register, n_notes, tempo)
+        # enough notes to cover the clip at the fastest admissible tempo
+        n_notes = int(np.ceil(codec.clip_seconds * TEMPO_RANGE[1] / 60.0)) + 1
+        melody = gen_melody(seed_int, register, n_notes)
         shift = 0
         if spec.augmentation is not None and split == "train":
             melody, shift = apply_shift_augmentation(melody, aug_rng, spec.augmentation)
@@ -179,27 +173,43 @@ def save_corpus(directory: str | Path, corpus: Corpus) -> None:
     (directory / "stats.json").write_text(json.dumps(stats))
 
 
+def _read_json_object(path: Path) -> dict:
+    try:
+        obj = json.loads(path.read_text())
+    except ValueError as exc:  # undecodable text or JSON
+        raise DataError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    return obj
+
+
 def load_corpus(directory: str | Path) -> Corpus:
+    """The dataset saved in ``directory``; a manifest.json or stats.json that
+    does not decode or lacks an entry raises DataError."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise DataError(f"{directory} is not a dataset directory (no manifest.json)")
-    manifest = json.loads(manifest_path.read_text())
+    manifest = _read_json_object(manifest_path)
     if manifest.get("version") != MANIFEST_VERSION:
         raise DataError(f"unsupported manifest version {manifest.get('version')}")
-    codec = FeatureCodecSpec(**manifest["codec"])
-    records = []
-    for e in manifest["clips"]:
-        clip = read_clip(directory / e["file"], domain_label=e["instrument"])
-        records.append(
-            ClipRecord(e["id"], e["split"], _melody_from_json(e["melody"]), e["shift"], clip)
+    stats_obj = _read_json_object(directory / "stats.json")
+    try:
+        codec = FeatureCodecSpec(**manifest["codec"])
+        records = []
+        for e in manifest["clips"]:
+            clip = read_clip(directory / e["file"], domain_label=e["instrument"])
+            melody = _melody_from_json(e["melody"])
+            records.append(ClipRecord(e["id"], e["split"], melody, e["shift"], clip))
+        stats = NormalizationStats(np.array(stats_obj["mean"]), np.array(stats_obj["std"]))
+        spec = CorpusSpec(
+            instrument=manifest["instrument"],
+            n_train=sum(1 for r in records if r.split == "train"),
+            n_test=sum(1 for r in records if r.split == "test"),
+            seed=manifest["seed"],
         )
-    stats_obj = json.loads((directory / "stats.json").read_text())
-    stats = NormalizationStats(np.array(stats_obj["mean"]), np.array(stats_obj["std"]))
-    spec = CorpusSpec(
-        instrument=manifest["instrument"],
-        n_train=sum(1 for r in records if r.split == "train"),
-        n_test=sum(1 for r in records if r.split == "test"),
-        seed=manifest["seed"],
-    )
+    except (KeyError, TypeError) as exc:
+        raise DataError(
+            f"{directory}: incomplete manifest or stats ({type(exc).__name__}: {exc})"
+        ) from None
     return Corpus(spec, codec, records, stats)

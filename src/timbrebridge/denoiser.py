@@ -2,7 +2,7 @@
 
 D(x, sigma) = c_skip(sigma) * x + c_out(sigma) * F(c_in(sigma) * x; c_noise(sigma))
 wraps the raw network so its input and output stay near unit scale at every
-noise level. Inference defaults to the EMA weights; ``use_ema`` flips that.
+noise level. Inference uses the EMA weights.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import network
-from .errors import ContractViolation, DataError, DomainError
+from .errors import ContractViolation, DataError, DomainError, TimbrebridgeError
 from .featurecodec import NormalizationStats
 from .network import ArchSpec, Params
 from .schedule import ScheduleParams, precond
@@ -26,7 +26,6 @@ class NeuralDenoiser:
     schedule: ScheduleParams
     stats: NormalizationStats | None = None
     seed: int = 0
-    use_ema: bool = True
     label: str | None = None
 
     def __post_init__(self):
@@ -40,15 +39,7 @@ class NeuralDenoiser:
 
     @property
     def inference_params(self) -> Params:
-        return self.ema_params if self.use_ema else self.params
-
-    def network_apply(
-        self, x_scaled: np.ndarray, noise_features: np.ndarray, params: Params = None
-    ) -> np.ndarray:
-        """Raw forward pass F(x_scaled; features); shape preserved."""
-        if params is None:
-            params = self.inference_params
-        return network.forward(params, self.arch, x_scaled, noise_features)
+        return self.ema_params
 
     def denoise(self, x: np.ndarray, sigma) -> np.ndarray:
         """Batched preconditioned denoiser; sigma is a scalar or (B,) array."""
@@ -65,7 +56,9 @@ class NeuralDenoiser:
             raise DomainError("denoise requires sigma > 0")
         c = precond(sig, self.schedule.sigma_data)
         feats = network.noise_embedding(c.c_noise, self.arch.noise_features)
-        f = self.network_apply(c.c_in[:, None, None] * xb, feats)
+        f = network.forward(
+            self.inference_params, self.arch, c.c_in[:, None, None] * xb, feats
+        )
         out = c.c_skip[:, None, None] * xb + c.c_out[:, None, None] * f
         return out[0] if squeeze else out
 
@@ -112,26 +105,32 @@ def save_denoiser(path, model: NeuralDenoiser) -> None:
     save_checkpoint(path, "denoiser", meta, arrays)
 
 
-def load_denoiser(path, use_ema: bool = True) -> NeuralDenoiser:
+def load_denoiser(path) -> NeuralDenoiser:
+    """The denoiser saved at ``path``; metadata or arrays that are missing or
+    that describe no valid model raise DataError."""
     from .checkpoint import load_checkpoint
 
     kind, meta, arrays = load_checkpoint(path)
     if kind != "denoiser":
         raise DataError(f"{path}: checkpoint kind {kind!r}, expected 'denoiser'")
-    arch = ArchSpec(**meta["arch"])
-    sched = ScheduleParams(**meta["schedule"])
-    params = {k[4:]: v for k, v in arrays.items() if k.startswith("raw/")}
-    ema = {k[4:]: v for k, v in arrays.items() if k.startswith("ema/")}
-    stats = None
-    if meta.get("has_stats"):
-        stats = NormalizationStats(mean=arrays["stats/mean"], std=arrays["stats/std"])
-    return NeuralDenoiser(
-        arch=arch,
-        params=params,
-        ema_params=ema,
-        schedule=sched,
-        stats=stats,
-        seed=int(meta.get("seed", 0)),
-        use_ema=use_ema,
-        label=meta.get("label"),
-    )
+    try:
+        arch = ArchSpec(**meta["arch"])
+        sched = ScheduleParams(**meta["schedule"])
+        params = {k[4:]: v for k, v in arrays.items() if k.startswith("raw/")}
+        ema = {k[4:]: v for k, v in arrays.items() if k.startswith("ema/")}
+        stats = None
+        if meta.get("has_stats"):
+            stats = NormalizationStats(mean=arrays["stats/mean"], std=arrays["stats/std"])
+        return NeuralDenoiser(
+            arch=arch,
+            params=params,
+            ema_params=ema,
+            schedule=sched,
+            stats=stats,
+            seed=int(meta.get("seed", 0)),
+            label=meta.get("label"),
+        )
+    except (KeyError, TypeError, ValueError, TimbrebridgeError) as exc:
+        raise DataError(
+            f"{path}: not a valid denoiser checkpoint ({type(exc).__name__}: {exc})"
+        ) from None

@@ -101,13 +101,10 @@ def band_energies(waveform: np.ndarray, codec: FeatureCodecSpec) -> np.ndarray:
 def features(
     waveform: np.ndarray,
     codec: FeatureCodecSpec,
-    stats: "NormalizationStats | None" = None,
     domain_label: str | None = None,
 ) -> LatentClip:
-    """Band log-energy clip; normalized when a normalization context is given."""
+    """Band log-energy clip of a waveform, unnormalized."""
     out = np.log(codec.log_floor + band_energies(waveform, codec))
-    if stats is not None:
-        out = stats.normalize_array(out)
     return LatentClip(out, domain_label=domain_label)
 
 

@@ -78,13 +78,12 @@ def _frame_energies(clip_or_wave, codec: FeatureCodecSpec) -> np.ndarray:
 def pitch_class_matrix(
     clip_or_wave,
     codec: FeatureCodecSpec,
-    temperature: float = PITCH_TEMPERATURE,
 ) -> np.ndarray:
     """(12, T) pitch-class probabilities via harmonic-template scoring.
 
     Frames are scored by cosine similarity (in band-magnitude domain, which
     weights harmonics more evenly than raw power) against every candidate
-    template, softmaxed over candidates at the given temperature, and summed
+    template, softmaxed over candidates at PITCH_TEMPERATURE, and summed
     over octaves. Zero-energy frames get flat scores, hence a near-uniform
     column.
     """
@@ -93,7 +92,7 @@ def pitch_class_matrix(
     norms = np.linalg.norm(mags, axis=0)
     unit = np.divide(mags, norms[None, :], out=np.zeros_like(mags), where=norms > 0)
     scores = templates @ unit  # (n_candidates, T)
-    z = scores / temperature
+    z = scores / PITCH_TEMPERATURE
     z -= z.max(axis=0, keepdims=True)
     p = np.exp(z)
     p /= p.sum(axis=0, keepdims=True)
@@ -175,20 +174,18 @@ def dpd_brute_force(p: np.ndarray, q: np.ndarray) -> float:
 # jaccard distance on active pitch-class sets
 
 
-def active_classes(p: np.ndarray, threshold: float = JACCARD_THRESHOLD) -> set[int]:
-    """Classes whose max-over-time probability exceeds the threshold, after
-    per-frame max-normalization."""
+def active_classes(p: np.ndarray) -> set[int]:
+    """Classes whose max-over-time probability exceeds JACCARD_THRESHOLD,
+    after per-frame max-normalization."""
     p = np.asarray(p, dtype=np.float64)
     peak = p.max(axis=0, keepdims=True)
     normed = np.divide(p, peak, out=np.zeros_like(p), where=peak > 0)
-    return set(np.nonzero(normed.max(axis=1) > threshold)[0].tolist())
+    return set(np.nonzero(normed.max(axis=1) > JACCARD_THRESHOLD)[0].tolist())
 
 
-def jaccard(p: np.ndarray, q: np.ndarray, threshold: float = JACCARD_THRESHOLD) -> float:
-    if not (0.0 < threshold < 1.0):
-        raise ConfigurationError(f"threshold {threshold} outside (0, 1)")
-    a = active_classes(p, threshold)
-    b = active_classes(q, threshold)
+def jaccard(p: np.ndarray, q: np.ndarray) -> float:
+    a = active_classes(p)
+    b = active_classes(q)
     if not a and not b:
         return 0.0
     return 1.0 - len(a & b) / len(a | b)
@@ -350,7 +347,12 @@ def load_classifier(path) -> TimbreClassifier:
     kind, meta, arrays = load_checkpoint(path)
     if kind != "classifier":
         raise DataError(f"{path}: checkpoint kind {kind!r}, expected 'classifier'")
-    return TimbreClassifier(list(meta["classes"]), **arrays)
+    try:
+        return TimbreClassifier(list(meta["classes"]), **arrays)
+    except (KeyError, TypeError) as exc:
+        raise DataError(
+            f"{path}: not a valid classifier checkpoint ({type(exc).__name__}: {exc})"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +371,6 @@ class MetricsReport:
             if not np.isfinite(getattr(self, name)):
                 raise DataError(f"metric {name} is not finite")
 
-    def to_dict(self) -> dict:
-        return {
-            "dpd": self.dpd,
-            "jaccard": self.jaccard,
-            "frechet": self.frechet,
-            "classifier_accuracy": self.classifier_accuracy,
-        }
-
 
 def evaluate_transfer(
     originals: list[LatentClip],
@@ -384,7 +378,7 @@ def evaluate_transfer(
     target_reference: list[LatentClip],
     classifier: TimbreClassifier,
     codec: FeatureCodecSpec,
-    target_class: str | None = None,
+    target_class: str,
 ) -> tuple[MetricsReport, list[tuple[float, float]]]:
     """Pair-averaged DPD/Jaccard, set-level Frechet, and target-class accuracy.
 
@@ -396,8 +390,6 @@ def evaluate_transfer(
         )
     if not target_reference:
         raise ContractViolation("target reference set is empty")
-    if target_class is None:
-        target_class = target_reference[0].domain_label or ""
     pairs = []
     for orig, out in zip(originals, transferred):
         p = pitch_class_matrix(orig, codec)
@@ -416,12 +408,12 @@ def evaluate_transfer(
 
 
 def unrelated_pair_dpd(
-    clips: list[LatentClip], codec: FeatureCodecSpec, offset: int | None = None
+    clips: list[LatentClip], codec: FeatureCodecSpec
 ) -> np.ndarray:
     """DPD between each clip and a differently-melodied partner (cyclic shift)."""
     if len(clips) < 2:
         raise DataError("need at least two clips")
-    offset = offset or max(1, len(clips) // 2)
+    offset = len(clips) // 2
     mats = [pitch_class_matrix(c, codec) for c in clips]
     return np.array(
         [dpd(mats[i], mats[(i + offset) % len(mats)]) for i in range(len(mats))]

@@ -87,55 +87,75 @@ def n_params(params: Params) -> int:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1/(1+exp(-x)) where x >= 0 and exp(x)/(1+exp(x)) elsewhere, so no exp
+    overflows; computed in place on e = exp(-|x|)."""
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    denom = 1.0 + e
+    np.maximum(e, x >= 0, out=e)  # numerator: 1 where x >= 0 (as e <= 1), else e
+    return np.divide(e, denom, out=e)
 
 
-def _silu(x):
-    return x * _sigmoid(x)
-
-
-def _silu_grad(x):
-    s = _sigmoid(x)
+def _silu_grad(x, s):
+    """d/dx x*sigmoid(x), given s = sigmoid(x)."""
     return s * (1.0 + x * (1.0 - s))
 
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """(B, C, T) -> (B, C, k, T) with zero same-padding."""
+# Forward passes that keep no backward cache gather their columns into this
+# one buffer, grown as needed: a fresh multi-megabyte array per conv stage
+# costs more in page faults than the gather that fills it.
+_cols_scratch = np.empty(0)
+
+
+def _im2col(x: np.ndarray, k: int, reuse: bool = False) -> np.ndarray:
+    """(B, C, T) -> (B, T, C, k) with zero same-padding.
+
+    Reshaped to (B*T, C*k), row (b, t) holds the kernel window around time t:
+    the operand the conv matmuls read, with no further copy. With ``reuse``
+    the result lives in the shared scratch buffer, valid until the next call.
+    """
+    global _cols_scratch
     b, c, t = x.shape
     pad = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-    cols = np.empty((b, c, k, t), dtype=x.dtype)
-    for j in range(k):
-        cols[:, :, j, :] = xp[:, :, j : j + t]
-    return cols
+    xp = np.pad(x.transpose(0, 2, 1), ((0, 0), (pad, pad), (0, 0))).reshape(b, -1)
+    # cols[b, t, c, j] = xp[b, t + j, c], gathered along the flattened (time, channel) axis
+    window = np.arange(t)[:, None, None] * c + np.arange(c)[:, None] + np.arange(k) * c
+    out = None
+    if reuse:
+        if _cols_scratch.size < window.size * b:
+            _cols_scratch = np.empty(window.size * b)
+        out = _cols_scratch[: window.size * b].reshape(b, -1)
+    cols = np.take(xp, window.ravel(), axis=1, mode="clip", out=out)
+    return cols.reshape(b, t, c, k)
 
 
-def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    cols = _im2col(x, w.shape[2])
-    y = np.einsum("ock,bckt->bot", w, cols, optimize=True) + b[None, :, None]
-    return y, cols
+def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, reuse: bool = False):
+    cols = _im2col(x, w.shape[2], reuse)
+    bsz, t, c, k = cols.shape
+    o = w.shape[0]
+    y = cols.reshape(bsz * t, c * k) @ w.reshape(o, c * k).T
+    return y.reshape(bsz, t, o).transpose(0, 2, 1) + b[None, :, None], cols
 
 
 def _conv_backward(dy: np.ndarray, cols: np.ndarray, w: np.ndarray):
-    dw = np.einsum("bot,bckt->ock", dy, cols, optimize=True)
+    bsz, t, c, k = cols.shape
+    o = w.shape[0]
+    cols_t = cols.reshape(bsz * t, c * k).T
+    dy_t = dy.transpose(1, 0, 2).reshape(o, bsz * t)
+    dw = (cols_t @ dy_t.T).reshape(c, k, o).transpose(2, 0, 1)
     db = dy.sum(axis=(0, 2))
-    dcols = np.einsum("ock,bot->bckt", w, dy, optimize=True)
-    b, c, k, t = dcols.shape
+    # (C, k, B, T): each shifted copy below reads whole time rows
+    dcols = (w.reshape(o, c * k).T @ dy_t).reshape(c, k, bsz, t)
     pad = k // 2
-    dxp = np.zeros((b, c, t + 2 * pad), dtype=dy.dtype)
+    dxp = np.zeros((bsz, c, t + 2 * pad), dtype=dy.dtype)
     for j in range(k):
-        dxp[:, :, j : j + t] += dcols[:, :, j, :]
+        dxp[:, :, j : j + t] += dcols[:, j].transpose(1, 0, 2)
     return dxp[:, :, pad : pad + t], dw, db
 
 
 def _pool2(x):
-    b, c, t = x.shape
-    return x.reshape(b, c, t // 2, 2).mean(axis=3)
+    return (x[:, :, 0::2] + x[:, :, 1::2]) / 2.0
 
 
 def _pool2_back(dy):
@@ -147,8 +167,7 @@ def _up2(x):
 
 
 def _up2_back(dy):
-    b, c, t = dy.shape
-    return dy.reshape(b, c, t // 2, 2).sum(axis=3)
+    return dy[:, :, 0::2] + dy[:, :, 1::2]
 
 
 def forward(
@@ -175,34 +194,40 @@ def forward(
         x = np.pad(x, ((0, 0), (0, 0), (0, t_pad)))
 
     bias = {n: feats @ params[f"{n}.nw"].T for n in _BIASED}  # (B, width)
+    reuse = not want_cache  # no backward pass will read the columns
     cache: dict = {"t_in": t_in, "feats": feats}
 
-    pre1, cache["cols1"] = _conv_forward(x, params["enc1.w"], params["enc1.b"])
+    pre1, cache["cols1"] = _conv_forward(x, params["enc1.w"], params["enc1.b"], reuse)
     pre1 += bias["enc1"][:, :, None]
-    s1 = _silu(pre1)
+    sig1 = _sigmoid(pre1)
+    s1 = pre1 * sig1  # SiLU
     p1 = _pool2(s1)
 
-    pre2, cache["cols2"] = _conv_forward(p1, params["enc2.w"], params["enc2.b"])
+    pre2, cache["cols2"] = _conv_forward(p1, params["enc2.w"], params["enc2.b"], reuse)
     pre2 += bias["enc2"][:, :, None]
-    s2 = _silu(pre2)
+    sig2 = _sigmoid(pre2)
+    s2 = pre2 * sig2  # SiLU
     p2 = _pool2(s2)
 
-    pre3, cache["cols3"] = _conv_forward(p2, params["mid.w"], params["mid.b"])
+    pre3, cache["cols3"] = _conv_forward(p2, params["mid.w"], params["mid.b"], reuse)
     pre3 += bias["mid"][:, :, None]
-    m = _silu(pre3)
+    sig3 = _sigmoid(pre3)
+    m = pre3 * sig3  # SiLU
 
     u2 = _up2(m) + s2
-    pre4, cache["cols4"] = _conv_forward(u2, params["dec2.w"], params["dec2.b"])
+    pre4, cache["cols4"] = _conv_forward(u2, params["dec2.w"], params["dec2.b"], reuse)
     pre4 += bias["dec2"][:, :, None]
-    d2 = _silu(pre4)
+    sig4 = _sigmoid(pre4)
+    d2 = pre4 * sig4  # SiLU
 
     u1 = _up2(d2) + s1
-    y, cache["cols5"] = _conv_forward(u1, params["out.w"], params["out.b"])
+    y, cache["cols5"] = _conv_forward(u1, params["out.w"], params["out.b"], reuse)
     y = y[:, :, :t_in]
 
     if not want_cache:
         return y
     cache.update(pre1=pre1, pre2=pre2, pre3=pre3, pre4=pre4)
+    cache.update(sig1=sig1, sig2=sig2, sig3=sig3, sig4=sig4)
     return y, cache
 
 
@@ -221,7 +246,7 @@ def backward(params: Params, arch: ArchSpec, cache: dict, dy: np.ndarray) -> Par
     ds1 = du1  # skip branch at full resolution
     dd2 = _up2_back(du1)
 
-    dpre4 = dd2 * _silu_grad(cache["pre4"])
+    dpre4 = dd2 * _silu_grad(cache["pre4"], cache["sig4"])
     grads["dec2.nw"] = np.einsum("bct,bf->cf", dpre4, cache["feats"], optimize=True)
     du2, grads["dec2.w"], grads["dec2.b"] = _conv_backward(
         dpre4, cache["cols4"], params["dec2.w"]
@@ -229,21 +254,21 @@ def backward(params: Params, arch: ArchSpec, cache: dict, dy: np.ndarray) -> Par
     ds2 = du2  # skip branch at half resolution
     dm = _up2_back(du2)
 
-    dpre3 = dm * _silu_grad(cache["pre3"])
+    dpre3 = dm * _silu_grad(cache["pre3"], cache["sig3"])
     grads["mid.nw"] = np.einsum("bct,bf->cf", dpre3, cache["feats"], optimize=True)
     dp2, grads["mid.w"], grads["mid.b"] = _conv_backward(
         dpre3, cache["cols3"], params["mid.w"]
     )
 
     ds2 = ds2 + _pool2_back(dp2)
-    dpre2 = ds2 * _silu_grad(cache["pre2"])
+    dpre2 = ds2 * _silu_grad(cache["pre2"], cache["sig2"])
     grads["enc2.nw"] = np.einsum("bct,bf->cf", dpre2, cache["feats"], optimize=True)
     dp1, grads["enc2.w"], grads["enc2.b"] = _conv_backward(
         dpre2, cache["cols2"], params["enc2.w"]
     )
 
     ds1 = ds1 + _pool2_back(dp1)
-    dpre1 = ds1 * _silu_grad(cache["pre1"])
+    dpre1 = ds1 * _silu_grad(cache["pre1"], cache["sig1"])
     grads["enc1.nw"] = np.einsum("bct,bf->cf", dpre1, cache["feats"], optimize=True)
     _, grads["enc1.w"], grads["enc1.b"] = _conv_backward(
         dpre1, cache["cols1"], params["enc1.w"]

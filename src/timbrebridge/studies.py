@@ -46,10 +46,10 @@ from .training import TrainingConfig, TrainingReport, train
 # distributional distances
 
 
-def gmm_box(gmm: GaussianMixture, k_sigma: float = 4.0) -> tuple[np.ndarray, np.ndarray]:
-    """Per-dimension bounds covering every component mean +- k_sigma stds."""
+def gmm_box(gmm: GaussianMixture) -> tuple[np.ndarray, np.ndarray]:
+    """Per-dimension bounds covering every component mean +- 4 stds."""
     std = np.sqrt(gmm.variances)
-    return (gmm.means - k_sigma * std).min(axis=0), (gmm.means + k_sigma * std).max(axis=0)
+    return (gmm.means - 4.0 * std).min(axis=0), (gmm.means + 4.0 * std).max(axis=0)
 
 
 def histogram_tv(
@@ -70,13 +70,14 @@ def histogram_tv(
     return 0.5 * (np.abs(pa - pb).sum() + abs((1 - pa.sum()) - (1 - pb.sum())))
 
 
-def energy_distance(x: np.ndarray, y: np.ndarray, chunk: int = 2048) -> float:
+def energy_distance(x: np.ndarray, y: np.ndarray) -> float:
     """Sample energy distance 2 E||X-Y|| - E||X-X'|| - E||Y-Y'||."""
 
     def mean_pdist(u, v):
         total = 0.0
-        for i in range(0, len(u), chunk):
-            du = u[i : i + chunk]
+        # blocks of 2048 rows bound the distance matrix held at once
+        for i in range(0, len(u), 2048):
+            du = u[i : i + 2048]
             total += np.sqrt(
                 np.maximum(
                     np.sum(du * du, axis=1)[:, None]
@@ -125,7 +126,6 @@ def convergence_study(
     seed: int = 0,
     schedule: ScheduleParams | None = None,
     reference_steps: int | None = None,
-    tv_bins: int = 64,
     tv_reference_samples: int = 100_000,
     measure_endpoint_l2: bool = True,
 ) -> list[ConvergenceResult]:
@@ -173,7 +173,7 @@ def convergence_study(
     ref_cloud = tv_floor = None
     if use_tv:
         ref_cloud = target_gmm.sample(tv_reference_samples, rng)
-        tv_floor = histogram_tv(fresh_tgt, ref_cloud, box, tv_bins)
+        tv_floor = histogram_tv(fresh_tgt, ref_cloud, box)
 
     def run_transfer(method: str, n: int) -> np.ndarray:
         cfg = BridgeConfig(src, tgt, schedule.with_steps(n), solver_method=method)
@@ -204,7 +204,7 @@ def convergence_study(
             )
             out = run_transfer(method, n)
             flat = out.reshape(n_samples, -1)
-            tv = histogram_tv(flat, ref_cloud, box, tv_bins) if use_tv else None
+            tv = histogram_tv(flat, ref_cloud, box) if use_tv else None
             en = None if use_tv else energy_distance(flat, fresh_tgt)
             points.append(
                 ConvergencePoint(
@@ -364,8 +364,6 @@ def transfer_clips(
     sigma_max: float,
     sigma_top: float,
     clips: list[LatentClip] | None = None,
-    n_steps: int | None = None,
-    method: str = "heun",
 ) -> tuple[list[LatentClip], list[LatentClip]]:
     """Transfer feature-domain clips and return (originals, transferred).
 
@@ -375,11 +373,7 @@ def transfer_clips(
     src_model = testbed.model(source, sigma_max)
     tgt_model = testbed.model(target, sigma_max)
     sched = testbed.schedule(sigma_max)
-    if n_steps is not None:
-        sched = sched.with_steps(n_steps)
-    cfg = BridgeConfig(
-        src_model, tgt_model, sched, inference_top_sigma=sigma_top, solver_method=method
-    )
+    cfg = BridgeConfig(src_model, tgt_model, sched, inference_top_sigma=sigma_top)
     if clips is None:
         clips = testbed.corpora[source].clips("test")
     transferred = transfer_features(
@@ -438,11 +432,11 @@ def scored_row(
     return AblationRow(setting, r.dpd, r.jaccard, r.frechet, r.classifier_accuracy)
 
 
-def trend_non_increasing(values: list[float], slack: float = 0.10) -> bool:
-    """Non-increasing up to one adjacent violation of at most ``slack``."""
+def trend_non_increasing(values: list[float]) -> bool:
+    """Non-increasing up to one adjacent violation of at most 10%."""
     violations = 0
     for prev, cur in zip(values, values[1:]):
-        if cur > prev * (1.0 + slack):
+        if cur > prev * 1.10:
             return False
         if cur > prev:
             violations += 1

@@ -22,6 +22,7 @@ MIDI_LO = 21
 MIDI_HI = 108
 SUSTAIN_LEVEL = 0.75
 MAJOR_SCALE = frozenset({0, 2, 4, 5, 7, 9, 11})
+TEMPO_RANGE = (210.0, 270.0)  # beats per minute, one note per beat
 
 
 def midi_to_hz(midi: float) -> float:
@@ -92,7 +93,6 @@ def gen_melody(
     seed: int,
     register: tuple[int, int],
     n_notes: int,
-    tempo_range: tuple[float, float] = (210.0, 270.0),
 ) -> Melody:
     """Diatonic random walk inside the register; deterministic per seed."""
     lo, hi = register
@@ -102,7 +102,7 @@ def gen_melody(
         raise ConfigurationError(f"register {register} outside MIDI bounds")
     candidates = [m for m in range(lo, hi + 1) if m % 12 in MAJOR_SCALE]
     rng = np.random.default_rng(seed)
-    tempo = float(rng.uniform(*tempo_range))
+    tempo = float(rng.uniform(*TEMPO_RANGE))
     dur = 60.0 / tempo
     pos = len(candidates) // 2
     notes = []
@@ -137,7 +137,6 @@ def synth(
     melody: Melody,
     instrument: InstrumentSpec,
     codec: FeatureCodecSpec,
-    phase_seed: int = 0,
 ) -> np.ndarray:
     """Render a melody as a mono waveform by band-limited additive synthesis.
 
@@ -154,7 +153,8 @@ def synth(
     sr = codec.sample_rate
     nyquist = sr / 2.0
     out = np.zeros(int(np.ceil(melody.total_duration * sr)) + 1)
-    phases = np.random.default_rng(phase_seed).uniform(
+    # one fixed set of harmonic phases, shared by every note of every instrument
+    phases = np.random.default_rng(0).uniform(
         0.0, 2.0 * np.pi, len(instrument.harmonic_gains)
     )
     for note in melody.notes:

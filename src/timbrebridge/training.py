@@ -64,10 +64,19 @@ class AdamW:
         b1c = 1.0 - c.beta1**self.t
         b2c = 1.0 - c.beta2**self.t
         for k, g in grads.items():
-            self.m[k] = c.beta1 * self.m[k] + (1.0 - c.beta1) * g
-            self.v[k] = c.beta2 * self.v[k] + (1.0 - c.beta2) * (g * g)
-            update = (self.m[k] / b1c) / (np.sqrt(self.v[k] / b2c) + c.adam_eps)
-            params[k] -= c.lr * update + c.lr * c.weight_decay * params[k]
+            m, v = self.m[k], self.v[k]
+            m *= c.beta1
+            m += (1.0 - c.beta1) * g
+            v *= c.beta2
+            v += (1.0 - c.beta2) * (g * g)
+            denom = v / b2c
+            np.sqrt(denom, out=denom)
+            denom += c.adam_eps
+            update = m / b1c
+            update /= denom
+            update *= c.lr
+            update += c.lr * c.weight_decay * params[k]
+            params[k] -= update
 
 
 def ema_decay(step: int, beta: float, power: float) -> float:

@@ -113,13 +113,6 @@ def test_top_sigma_snapping(pair):
     cfg = BridgeConfig(dsrc, dtgt, SCHED, inference_top_sigma=5.0)
     assert cfg.top_index() == 55
     assert cfg.top_sigma == pytest.approx(4.901, rel=1e-3)
-    with pytest.raises(ConfigurationError):
-        BridgeConfig(dsrc, dtgt, SCHED, inference_top_sigma=5.0, snap_top_sigma=False)
-    # exact nodes pass even in strict mode
-    strict = BridgeConfig(
-        dsrc, dtgt, SCHED, inference_top_sigma=cfg.top_sigma, snap_top_sigma=False
-    )
-    assert strict.top_index() == 55
 
 
 def test_top_sigma_out_of_range(pair):

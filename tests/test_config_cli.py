@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -254,3 +255,117 @@ def test_transfer_rejects_target_schedule_mismatch(pipeline, tmp_path, capsys):
     assert main(args) == 1  # full grid: top sigma 100 > the target's 5
     assert "sigma_max" in _one_line_error(capsys)
     assert main([*args, "--inference-sigma", "5", "--limit", "1"]) == 0
+
+
+def test_malformed_json_config_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    code = main([
+        "transfer", "--config", str(bad), "--source-ckpt", "a", "--target-ckpt", "b",
+        "--input", "x", "--output", "y",
+    ])
+    assert code == 2
+    assert _one_line_error(capsys).startswith("usage error:")
+
+
+def _cut_header(path):
+    path.write_bytes(path.read_bytes()[:40])
+
+
+def _append_junk(path):
+    path.write_bytes(path.read_bytes() + b"junk")
+
+
+def _drop_schedule(path):
+    from timbrebridge.checkpoint import load_checkpoint, save_checkpoint
+
+    kind, meta, arrays = load_checkpoint(path)
+    del meta["schedule"]
+    save_checkpoint(path, kind, meta, arrays)
+
+
+def _break_json(path):
+    path.write_text("{")
+
+
+def _empty_manifest(path):
+    path.write_text('{"version": 1}')
+
+
+@pytest.mark.parametrize(
+    "target, damage",
+    [
+        ("ckpt/flute.tbc", _cut_header),
+        ("ckpt/flute.tbc", _append_junk),
+        ("ckpt/flute.tbc", _drop_schedule),
+        ("flute/manifest.json", _break_json),
+        ("flute/manifest.json", _empty_manifest),
+        ("flute/stats.json", _break_json),
+    ],
+)
+def test_damaged_input_is_one_line_error(pipeline, tmp_path, capsys, target, damage):
+    for part in ("ckpt", "flute"):
+        shutil.copytree(pipeline / part, tmp_path / part)
+    damage(tmp_path / target)
+    code = main([
+        "transfer", "--source-ckpt", str(tmp_path / "ckpt" / "flute.tbc"),
+        "--target-ckpt", str(tmp_path / "ckpt" / "violin.tbc"),
+        "--input", str(tmp_path / "flute"), "--output", str(tmp_path / "o"),
+        "--inference-sigma", "5", "--limit", "1",
+    ])
+    assert code == 1
+    assert "DataError" in _one_line_error(capsys)
+
+
+def _sigma_ablation(pipeline, tmp_path, *ckpts):
+    return main([
+        "sigma-ablation", "--out", str(tmp_path / "study"),
+        "--classifier-ckpt", str(pipeline / "ckpt" / "clf.tbc"),
+        "--source-data", str(pipeline / "flute"), "--target-data", str(pipeline / "violin"),
+        *[arg for ckpt in ckpts for arg in ("--ckpt", str(ckpt))],
+        "--pairs", "100:5", "--clips", "2",
+    ])
+
+
+def _resaved(pipeline, tmp_path, name, **changes):
+    """The pipeline's ``name`` checkpoint saved again with ``changes`` applied."""
+    from timbrebridge.denoiser import load_denoiser, save_denoiser
+
+    model = load_denoiser(pipeline / "ckpt" / f"{name}.tbc")
+    for field, value in changes.items():
+        setattr(model, field, value)
+    path = tmp_path / f"{name}-changed.tbc"
+    save_denoiser(path, model)
+    return path
+
+
+def test_sigma_ablation_reads_instrument_and_sigma_max_from_checkpoints(pipeline, tmp_path):
+    ckpt = pipeline / "ckpt"
+    assert _sigma_ablation(pipeline, tmp_path, ckpt / "flute.tbc", ckpt / "violin.tbc") == 0
+    rows = (tmp_path / "study" / "sigma_ablation.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith('"sigma_max=100,sigma_top=5",')
+
+
+def test_study_rejects_checkpoint_without_label(pipeline, tmp_path, capsys):
+    unlabeled = _resaved(pipeline, tmp_path, "flute", label=None)
+    code = _sigma_ablation(pipeline, tmp_path, unlabeled, pipeline / "ckpt" / "violin.tbc")
+    assert code == 1
+    assert "no instrument label" in _one_line_error(capsys)
+
+
+def test_study_rejects_two_checkpoints_for_one_model(pipeline, tmp_path, capsys):
+    ckpt = pipeline / "ckpt"
+    code = _sigma_ablation(
+        pipeline, tmp_path, ckpt / "flute.tbc", ckpt / "flute.tbc", ckpt / "violin.tbc"
+    )
+    assert code == 1
+    assert "second checkpoint for 'flute_like' at sigma_max=100" in _one_line_error(capsys)
+
+
+def test_study_names_the_missing_model(pipeline, tmp_path, capsys):
+    from timbrebridge.schedule import ScheduleParams
+
+    violin5 = _resaved(pipeline, tmp_path, "violin", schedule=ScheduleParams(sigma_max=5.0))
+    code = _sigma_ablation(pipeline, tmp_path, pipeline / "ckpt" / "flute.tbc", violin5)
+    assert code == 1
+    assert "'violin_like' at sigma_max=100" in _one_line_error(capsys)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timbrebridge.coupling import (
+    MAX_EXACT_BATCH,
     CouplingConfig,
     apply_coupling,
     chunk_positions,
@@ -116,9 +117,9 @@ def test_chunked_cost_at_most_unchunked(rng):
 
 
 def test_batch_limit():
-    data = np.zeros((5, 1, 1))
+    data = np.zeros((MAX_EXACT_BATCH + 1, 1, 1))
     with pytest.raises(ConfigurationError):
-        ot_pair(data, data, CouplingConfig(0, 0, max_exact_batch=4))
+        ot_pair(data, data, CouplingConfig(0, 0))
 
 
 def test_shape_mismatch():

@@ -29,7 +29,7 @@ def test_consistency_with_raw_network(model):
         feats = network.noise_embedding(
             np.full(3, c.c_noise), model.arch.noise_features
         )
-        raw = model.network_apply(c.c_in * x, feats)
+        raw = network.forward(model.ema_params, model.arch, c.c_in * x, feats)
         lhs = model.denoise(x, sigma) - c.c_skip * x
         assert lhs == pytest.approx(c.c_out * raw, rel=1e-6, abs=1e-12)
 
@@ -68,13 +68,18 @@ def test_checkpoint_roundtrip(tmp_path, model):
     assert (tmp_path / "model.tbc.json").exists()
 
 
-def test_ema_selection_flag(tiny_arch):
+def test_denoise_uses_ema_params(tiny_arch):
     model = new_denoiser(tiny_arch, ScheduleParams(), seed=4)
     rng = np.random.default_rng(5)
     for key in model.ema_params:
         model.ema_params[key] = model.ema_params[key] + 0.1
     x = rng.standard_normal((1, 2, 8))
-    with_ema = model.denoise(x, 1.0)
-    model.use_ema = False
-    without = model.denoise(x, 1.0)
-    assert not np.allclose(with_ema, without)
+    c = precond(1.0, model.schedule.sigma_data)
+    feats = network.noise_embedding(np.full(1, c.c_noise), model.arch.noise_features)
+
+    def denoised_with(params):
+        return c.c_skip * x + c.c_out * network.forward(params, model.arch, c.c_in * x, feats)
+
+    got = model.denoise(x, 1.0)
+    assert got == pytest.approx(denoised_with(model.ema_params), rel=1e-12, abs=1e-14)
+    assert not np.allclose(got, denoised_with(model.params))

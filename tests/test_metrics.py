@@ -54,7 +54,7 @@ def test_silence_near_uniform(codec):
 
 def test_arpeggio_active_set(codec):
     pcm = pitch_class_matrix(_clip_for([60, 64, 67], codec), codec)
-    assert active_classes(pcm, 0.5) == {0, 4, 7}
+    assert active_classes(pcm) == {0, 4, 7}
 
 
 def test_waveform_input_accepted(codec):
@@ -275,7 +275,7 @@ def test_evaluate_transfer_length_mismatch(small_corpus_pair, codec):
         embed_clips(flute.clips("train") + violin.clips("train")), n_steps=200
     )
     with pytest.raises(ContractViolation):
-        evaluate_transfer(clips[:3], clips[:2], clips, clf, codec)
+        evaluate_transfer(clips[:3], clips[:2], clips, clf, codec, "violin_like")
 
 
 def test_unrelated_pair_dpd_positive(small_corpus_pair, codec):
