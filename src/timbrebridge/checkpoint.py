@@ -1,4 +1,4 @@
-"""Self-identifying binary checkpoint container with a JSON sidecar.
+"""Self-identifying binary checkpoint container, and the package's one file writer.
 
 Layout: 8-byte magic, uint32 format version, uint32 header length, then the
 UTF-8 JSON header (kind, scalar metadata, array manifest), then the named
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +21,27 @@ CHECKPOINT_MAGIC = b"TBRCHKPT"
 CHECKPOINT_VERSION = 1
 
 
+def write_file(path: str | Path, data: bytes | str) -> Path:
+    """Write ``data`` (text as UTF-8) to ``path``, creating its directory. A
+    temporary file beside ``path`` is renamed over it, so a failed write
+    leaves the old file as it was and no partial file behind."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
 def save_checkpoint(
     path: str | Path, kind: str, metadata: dict, arrays: dict[str, np.ndarray]
-) -> None:
-    path = Path(path)
+) -> list[Path]:
+    """Write the checkpoint and its sidecar; returns both paths."""
     manifest = []
     blobs = []
     for name, arr in arrays.items():
@@ -33,15 +51,10 @@ def save_checkpoint(
     header = json.dumps(
         {"kind": kind, "metadata": metadata, "arrays": manifest}
     ).encode("utf-8")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(np.array([CHECKPOINT_VERSION, len(header)], dtype="<u4").tobytes())
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+    sizes = np.array([CHECKPOINT_VERSION, len(header)], dtype="<u4").tobytes()
+    path = write_file(path, b"".join([CHECKPOINT_MAGIC, sizes, header, *blobs]))
     sidecar = {"kind": kind, "version": CHECKPOINT_VERSION, "metadata": metadata}
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=1))
+    return [path, write_file(f"{path}.json", json.dumps(sidecar, indent=1))]
 
 
 def load_checkpoint(path: str | Path) -> tuple[str, dict, dict[str, np.ndarray]]:

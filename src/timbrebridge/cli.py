@@ -8,8 +8,9 @@ Every run writes a manifest JSON recording the effective configuration,
 seed, package version, and SHA-256 hashes of produced files.
 
 Exit statuses: 0 success, 1 runtime/configuration error, 2 usage error.
-The TIMBREBRIDGE_OUT_ROOT environment variable, when set, anchors relative
-output paths.
+The TIMBREBRIDGE_OUT_ROOT environment variable, when set, anchors every
+relative path option, inputs as well as outputs, so that commands chained
+under one root find each other's files.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import logging
 import os
@@ -29,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .bridge import BridgeConfig, cycle, draw_latents, sample_shared
+from .checkpoint import write_file
 from .clip import LatentClip, read_clip, write_clip
 from .config import (
     Opt,
@@ -57,8 +60,8 @@ from .studies import (
     Testbed,
     convergence_study,
     coupling_ablation,
+    cycle_errors,
     cycle_study,
-    normalized_stack,
     pitch_shift_study,
     shared_latent_study,
     sigma_ablation,
@@ -74,20 +77,22 @@ log = logging.getLogger(__name__)
 
 COMMON_OPTS = [Opt("seed", int, 0, "run seed; all randomness derives from it")]
 SCHEDULE_OPTS = [
-    Opt("sigma-min", float, 0.01, "lowest noise level of the grid"),
-    Opt("sigma-max", float, 100.0, "highest noise level of the grid"),
-    Opt("rho", float, 9.0, "grid warp exponent"),
-    Opt("steps", int, 100, "number of grid nodes N"),
-    Opt("sigma-data", float, 1.0, "data scale entering the preconditioning"),
+    Opt("sigma-min", float, ScheduleParams.sigma_min, "lowest noise level of the grid"),
+    Opt("sigma-max", float, ScheduleParams.sigma_max, "highest noise level of the grid"),
+    Opt("rho", float, ScheduleParams.rho, "grid warp exponent"),
+    Opt("steps", int, ScheduleParams.n_steps, "number of grid nodes N"),
+    Opt(
+        "sigma-data", float, ScheduleParams.sigma_data, "data scale entering the preconditioning"
+    ),
 ]
 CODEC_OPTS = [
-    Opt("sample-rate", int, 8000),
-    Opt("bands", int, 32),
-    Opt("hop", int, 256),
-    Opt("window", int, 512),
-    Opt("f-lo", float, 60.0),
-    Opt("f-hi", float, 3800.0),
-    Opt("clip-seconds", float, 2.048),
+    Opt("sample-rate", int, FeatureCodecSpec.sample_rate),
+    Opt("bands", int, FeatureCodecSpec.n_bands),
+    Opt("hop", int, FeatureCodecSpec.hop),
+    Opt("window", int, FeatureCodecSpec.window),
+    Opt("f-lo", float, FeatureCodecSpec.f_lo),
+    Opt("f-hi", float, FeatureCodecSpec.f_hi),
+    Opt("clip-seconds", float, FeatureCodecSpec.clip_seconds),
 ]
 MODEL_PAIR_OPTS = [
     Opt("source-ckpt", str, required=True),
@@ -163,7 +168,7 @@ def parse_and_validate(argv: list[str]) -> RunConfig:
 # loading inputs and writing outputs
 
 
-def _out_path(value: str | Path) -> Path:
+def _path(value: str | Path) -> Path:
     path = Path(value)
     root = os.environ.get("TIMBREBRIDGE_OUT_ROOT")
     if root and not path.is_absolute():
@@ -176,7 +181,6 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(out_dir: Path, config: RunConfig, outputs: list[Path]) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "config": config.to_json(),
         "seed": config.get("seed"),
@@ -187,25 +191,27 @@ def _write_manifest(out_dir: Path, config: RunConfig, outputs: list[Path]) -> No
             if p.is_file()
         },
     }
-    (out_dir / "run_manifest.json").write_text(json.dumps(manifest, indent=1))
+    write_file(out_dir / "run_manifest.json", json.dumps(manifest, indent=1))
 
 
-def _load_clips(path: Path, split: str, limit) -> list[LatentClip]:
+def _load_clips(config: RunConfig, key: str) -> list[LatentClip]:
+    """The clips that option ``key`` names, at most --limit of them."""
+    path = _path(config[key])
     if (path / "manifest.json").exists():
-        clips = load_corpus(path).clips(split)
+        clips = load_corpus(path).clips(config["split"])
     elif path.is_dir():
         clips = [read_clip(p) for p in sorted(path.glob("*.clip"))]
     else:
         clips = [read_clip(path)]
-    if limit:
-        clips = clips[: int(limit)]
+    if config.get("limit"):
+        clips = clips[: int(config["limit"])]
     return clips
 
 
 def _load_model(config: RunConfig, key: str) -> NeuralDenoiser:
     """The denoiser checkpoint named by option ``key``; it must carry the
     normalization statistics that map clips into and out of its domain."""
-    path = _out_path(config[key])
+    path = _path(config[key])
     model = load_denoiser(path)
     if model.stats is None:
         raise ConfigurationError(f"{path}: checkpoint carries no normalization statistics")
@@ -232,10 +238,10 @@ def _load_testbed(
     """The two corpora, the --ckpt models and the classifier of a study, plus
     the corpora's instrument names in ``data_keys`` order. Each model is keyed
     by the instrument label and the sigma_max its checkpoint records."""
-    corpora = [load_corpus(_out_path(config[key])) for key in data_keys]
+    corpora = [load_corpus(_path(config[key])) for key in data_keys]
     models = {}
     for entry in config.get("ckpt", []):
-        path = _out_path(entry)
+        path = _path(entry)
         model = load_denoiser(path)
         if model.label is None:
             raise ConfigurationError(f"{path}: checkpoint carries no instrument label")
@@ -250,7 +256,7 @@ def _load_testbed(
         corpora={c.spec.instrument: c for c in corpora},
         models=models,
         reports={},
-        classifier=load_classifier(_out_path(config["classifier_ckpt"])),
+        classifier=load_classifier(_path(config["classifier_ckpt"])),
         base_schedule=next(iter(models.values())).schedule if models else ScheduleParams(),
         train_config=TrainingConfig(seed=config["seed"]),
         seed=config["seed"],
@@ -260,18 +266,15 @@ def _load_testbed(
 
 def _write_table(path: Path, header: list[str], rows) -> Path:
     """A CSV file with a header row."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return write_file(path, text.getvalue())
 
 
 def _write_json(path: Path, payload) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=1, default=float))
-    return path
+    return write_file(path, json.dumps(payload, indent=1, default=float))
 
 
 def _write_ablation(out: Path, stem: str, table: AblationTable, **extra) -> list[Path]:
@@ -285,7 +288,6 @@ def _write_ablation(out: Path, stem: str, table: AblationTable, **extra) -> list
 
 def _write_clips(out: Path, prefix: str, clips: list[LatentClip]) -> list[Path]:
     """``out/<prefix>-00000.clip``, ... one file per clip."""
-    out.mkdir(parents=True, exist_ok=True)
     paths = [out / f"{prefix}-{k:05d}.clip" for k in range(len(clips))]
     for path, clip in zip(paths, clips):
         write_clip(path, clip)
@@ -304,8 +306,8 @@ def _write_clips(out: Path, prefix: str, clips: list[LatentClip]) -> list[Path]:
     Opt("test-clips", int, 64),
     Opt("out", str, required=True),
     Opt("augment-probability", float, 0.0, "pitch-shift augmentation probability"),
-    Opt("augment-min", int, 1),
-    Opt("augment-max", int, 25),
+    Opt("augment-min", int, ShiftAugmentation.min_shift),
+    Opt("augment-max", int, ShiftAugmentation.max_shift),
 )
 def _cmd_synth_data(config: RunConfig) -> list[Path]:
     codec = FeatureCodecSpec(
@@ -331,7 +333,7 @@ def _cmd_synth_data(config: RunConfig) -> list[Path]:
         seed=config["seed"],
         augmentation=augmentation,
     )
-    out = _out_path(config["out"])
+    out = _path(config["out"])
     save_corpus(out, build_corpus(spec, codec))
     return [out / "manifest.json", out / "stats.json"]
 
@@ -341,15 +343,15 @@ def _cmd_synth_data(config: RunConfig) -> list[Path]:
     *SCHEDULE_OPTS,
     Opt("data", str, required=True, help="dataset directory"),
     Opt("out-ckpt", str, required=True),
-    Opt("train-steps", int, 4000),
-    Opt("batch-size", int, 16),
-    Opt("lr", float, 1e-4),
-    Opt("coupling.enabled", parse_bool, True),
-    Opt("coupling.time-chunk", int, 4),
-    Opt("coupling.channel-chunk", int, 8),
+    Opt("train-steps", int, TrainingConfig.n_steps),
+    Opt("batch-size", int, TrainingConfig.batch_size),
+    Opt("lr", float, TrainingConfig.lr),
+    Opt("coupling.enabled", parse_bool, CouplingConfig.enabled),
+    Opt("coupling.time-chunk", int, CouplingConfig.time_chunk),
+    Opt("coupling.channel-chunk", int, CouplingConfig.channel_chunk),
 )
 def _cmd_train(config: RunConfig) -> list[Path]:
-    corpus = load_corpus(_out_path(config["data"]))
+    corpus = load_corpus(_path(config["data"]))
     coupling = CouplingConfig(
         time_chunk=config["coupling_time_chunk"],
         channel_chunk=config["coupling_channel_chunk"],
@@ -376,15 +378,14 @@ def _cmd_train(config: RunConfig) -> list[Path]:
         stats=corpus.stats,
         label=corpus.spec.instrument,
     )
-    out = _out_path(config["out_ckpt"])
-    save_denoiser(out, model)
+    outputs = save_denoiser(_path(config["out_ckpt"]), model)
     log.info(
         "trained %s: final loss %.4g in %.0f s",
         corpus.spec.instrument,
         report.final_loss,
         report.wall_seconds,
     )
-    return [out, Path(str(out) + ".json")]
+    return outputs
 
 
 @command(
@@ -396,13 +397,11 @@ def _cmd_train(config: RunConfig) -> list[Path]:
 def _cmd_train_classifier(config: RunConfig) -> list[Path]:
     clips = []
     for entry in config["data"]:
-        clips.extend(load_corpus(_out_path(entry)).clips("train"))
+        clips.extend(load_corpus(_path(entry)).clips("train"))
     clf = train_timbre_classifier(
         embed_clips(clips), n_steps=config["classifier_steps"], seed=config["seed"]
     )
-    out = _out_path(config["out_ckpt"])
-    save_classifier(out, clf)
-    return [out, Path(str(out) + ".json")]
+    return save_classifier(_path(config["out_ckpt"]), clf)
 
 
 @command(
@@ -416,9 +415,9 @@ def _cmd_transfer(config: RunConfig) -> list[Path]:
     source = _load_model(config, "source_ckpt")
     target = _load_model(config, "target_ckpt")
     bridge_cfg = _bridge(config, source, target)
-    clips = _load_clips(_out_path(config["input"]), config["split"], config.get("limit"))
+    clips = _load_clips(config, "input")
     transferred = transfer_features(clips, bridge_cfg, source.stats, target.stats)
-    out = _out_path(config["output"])
+    out = _path(config["output"])
     if len(clips) == 1 and out.suffix:
         write_clip(out, transferred[0])
         return [out]
@@ -436,24 +435,22 @@ def _cmd_transfer(config: RunConfig) -> list[Path]:
 def _cmd_cycle_check(config: RunConfig) -> list[Path]:
     source = _load_model(config, "source_ckpt")
     bridge_cfg = _bridge(config, source, _load_model(config, "target_ckpt"))
-    clips = _load_clips(_out_path(config["input"]), config["split"], config.get("limit"))
-    x = normalized_stack(clips, source.stats)
+    clips = _load_clips(config, "input")
+    x = source.stats.stack(clips)
     back = cycle(x, bridge_cfg)
-    err = np.linalg.norm((back - x).reshape(len(x), -1), axis=1)
-    norm = np.linalg.norm(x.reshape(len(x), -1), axis=1)
-    rel = err / norm
+    rel = cycle_errors(x, back)
     outputs = [
         _write_table(
-            _out_path(config["report"]),
+            _path(config["report"]),
             ["clip_index", "normalized_l2"],
             enumerate(rel),
         )
     ]
     if config.get("output"):
         outputs += _write_clips(
-            _out_path(config["output"]),
+            _path(config["output"]),
             "cycle",
-            [LatentClip(source.stats.denormalize_array(arr)) for arr in back],
+            source.stats.unstack(back, None),
         )
     log.info("cycle reconstruction: mean %.4g, max %.4g", rel.mean(), rel.max())
     return outputs
@@ -473,11 +470,8 @@ def _cmd_sample_shared(config: RunConfig) -> list[Path]:
     shape = (model.arch.channels, config["frames"])
     rng = np.random.default_rng(np.random.SeedSequence([config["seed"], 0x5A]))
     latents = draw_latents(config["n"], shape, bridge_cfg, rng)
-    samples = [
-        LatentClip(model.stats.denormalize_array(arr), domain_label=model.label)
-        for arr in sample_shared(latents, model, bridge_cfg)
-    ]
-    return _write_clips(_out_path(config["out"]), "sample", samples)
+    samples = model.stats.unstack(sample_shared(latents, model, bridge_cfg), model.label)
+    return _write_clips(_path(config["out"]), "sample", samples)
 
 
 @command(
@@ -491,20 +485,17 @@ def _cmd_sample_shared(config: RunConfig) -> list[Path]:
     Opt("limit", int, None),
 )
 def _cmd_eval(config: RunConfig) -> list[Path]:
-    originals, transferred = (
-        _load_clips(_out_path(config[key]), config["split"], config.get("limit"))
-        for key in ("originals", "transferred")
-    )
-    reference_corpus = load_corpus(_out_path(config["target_reference"]))
+    originals, transferred = (_load_clips(config, k) for k in ("originals", "transferred"))
+    reference_corpus = load_corpus(_path(config["target_reference"]))
     report, pairs = evaluate_transfer(
         originals,
         transferred,
         reference_corpus.clips("test"),
-        load_classifier(_out_path(config["classifier_ckpt"])),
+        load_classifier(_path(config["classifier_ckpt"])),
         reference_corpus.codec,
         reference_corpus.spec.instrument,
     )
-    report_path = _write_json(_out_path(config["report"]), dataclasses.asdict(report))
+    report_path = _write_json(_path(config["report"]), dataclasses.asdict(report))
     csv_path = Path(str(report_path) + ".pairs.csv")
     rows = [[k, d, j] for k, (d, j) in enumerate(pairs)]
     return [report_path, _write_table(csv_path, ["pair_index", "dpd", "jaccard"], rows)]
@@ -517,7 +508,7 @@ def _cmd_eval(config: RunConfig) -> list[Path]:
     Opt("step-counts", parse_int_list, [10, 20, 40, 80, 160]),
     Opt("samples", int, 4000),
     Opt("reference-steps", int, 5120),
-    Opt("sigma-max", float, 100.0),
+    Opt("sigma-max", float, ScheduleParams.sigma_max),
 )
 def _cmd_convergence_study(config: RunConfig) -> list[Path]:
     source, target = demo_pair_2d()
@@ -531,7 +522,7 @@ def _cmd_convergence_study(config: RunConfig) -> list[Path]:
         schedule=ScheduleParams(sigma_max=config["sigma_max"]),
         reference_steps=config["reference_steps"],
     )
-    out = _out_path(config["out"])
+    out = _path(config["out"])
     rows = [
         [res.method, p.n_steps, p.h, p.solve_l2, p.transfer_l2, p.tv, res.slope]
         for res in results
@@ -559,7 +550,7 @@ def _cmd_sigma_ablation(config: RunConfig) -> list[Path]:
         for a, b in (pair.split(":") for pair in config["pairs"].split(","))
     ]
     table = sigma_ablation(testbed, source, target, pairs, n_clips=config["clips"])
-    return _write_ablation(_out_path(config["out"]), "sigma_ablation", table, notes=table.notes)
+    return _write_ablation(_path(config["out"]), "sigma_ablation", table, notes=table.notes)
 
 
 @command(
@@ -568,8 +559,8 @@ def _cmd_sigma_ablation(config: RunConfig) -> list[Path]:
     *DATA_PAIR_OPTS,
     Opt("sigma-max", float, 100.0),
     Opt("inference-sigma", float, 5.0),
-    Opt("train-steps", int, 4000),
-    Opt("batch-size", int, 16),
+    Opt("train-steps", int, TrainingConfig.n_steps),
+    Opt("batch-size", int, TrainingConfig.batch_size),
     Opt("clips", int, 100),
     Opt("configs", str, "0:0,4:0,4:8", "time:channel chunk pairs"),
 )
@@ -592,7 +583,7 @@ def _cmd_coupling_ablation(config: RunConfig) -> list[Path]:
         n_clips=config["clips"],
     )
     return _write_ablation(
-        _out_path(config["out"]), "coupling_ablation", table, notes=table.notes
+        _path(config["out"]), "coupling_ablation", table, notes=table.notes
     )
 
 
@@ -617,7 +608,7 @@ def _cmd_shift_study(config: RunConfig) -> list[Path]:
         sigma_top=config.get("inference_sigma"),
         n_clips=config["clips"],
     )
-    return _write_ablation(_out_path(config["out"]), "shift_study", table)
+    return _write_ablation(_path(config["out"]), "shift_study", table)
 
 
 @command(
@@ -641,7 +632,7 @@ def _cmd_shared_latent(config: RunConfig) -> list[Path]:
         sigma_max=config["sigma_max"],
         seed=config["seed"],
     )
-    out = _out_path(config["out"]) / "shared_latent.json"
+    out = _path(config["out"]) / "shared_latent.json"
     return [_write_json(out, dataclasses.asdict(summary))]
 
 
@@ -657,17 +648,17 @@ def _cmd_shared_latent(config: RunConfig) -> list[Path]:
 def _cmd_cycle_study(config: RunConfig) -> list[Path]:
     source = _load_model(config, "source_ckpt")
     target = _load_model(config, "target_ckpt")
-    clips = load_corpus(_out_path(config["data"])).clips("test")[: config["clips"]]
+    clips = load_corpus(_path(config["data"])).clips("test")[: config["clips"]]
     points = cycle_study(
         source,
         target,
-        normalized_stack(clips, source.stats),
+        source.stats.stack(clips),
         config["step_counts"],
         source.schedule,
         sigma_top=config.get("inference_sigma"),
         method=config["solver"],
     )
-    out = _out_path(config["out"])
+    out = _path(config["out"])
     header = ["n_steps", "mean_normalized_l2", "wall_seconds_per_transfer"]
     rows = [[p.n_steps, p.mean_normalized_l2, p.wall_seconds_per_transfer] for p in points]
     return [
@@ -686,7 +677,7 @@ def run(config: RunConfig) -> int:
     manifest_dir = None
     for key in ("out", "output", "out_ckpt", "report"):
         if config.get(key):
-            candidate = _out_path(config[key])
+            candidate = _path(config[key])
             manifest_dir = candidate if candidate.is_dir() else candidate.parent
             break
     if manifest_dir is not None:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import write_file
 from .errors import ContractViolation, DataError
 
 CLIP_MAGIC = b"TBRCLIP1"
@@ -37,20 +38,15 @@ class LatentClip:
         return self.data.shape[0]
 
     @property
-    def frames(self) -> int:
-        return self.data.shape[1]
-
-    @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape
 
 
 def write_clip(path: str | Path, clip: LatentClip) -> None:
-    path = Path(path)
     c, t = clip.shape
     header = CLIP_MAGIC + np.array([c, t], dtype="<u4").tobytes()
     body = clip.data.astype("<f4").tobytes(order="C")
-    path.write_bytes(header + body)
+    write_file(path, header + body)
 
 
 def read_clip(path: str | Path, domain_label: str | None = None) -> LatentClip:

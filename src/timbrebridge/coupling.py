@@ -16,15 +16,13 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigurationError, ContractViolation
 
-DEFAULT_TIME_CHUNK = 4
-DEFAULT_CHANNEL_CHUNK = 8
 MAX_EXACT_BATCH = 128
 
 
 @dataclass(frozen=True)
 class CouplingConfig:
-    time_chunk: int = DEFAULT_TIME_CHUNK
-    channel_chunk: int = DEFAULT_CHANNEL_CHUNK
+    time_chunk: int = 4
+    channel_chunk: int = 8
     enabled: bool = True
 
     def __post_init__(self):

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import write_file
 from .clip import LatentClip, read_clip, write_clip
 from .errors import ConfigurationError, DataError
 from .featurecodec import (
@@ -40,8 +41,8 @@ MANIFEST_VERSION = 1
 @dataclass(frozen=True)
 class CorpusSpec:
     instrument: str
-    n_train: int = 384
-    n_test: int = 200
+    n_train: int
+    n_test: int
     seed: int = 0
     augmentation: ShiftAugmentation | None = None
 
@@ -146,7 +147,6 @@ def _melody_from_json(obj: dict) -> Melody:
 
 def save_corpus(directory: str | Path, corpus: Corpus) -> None:
     directory = Path(directory)
-    (directory / "clips").mkdir(parents=True, exist_ok=True)
     entries = []
     for rec in corpus.records:
         rel = f"clips/{rec.clip_id}.clip"
@@ -168,9 +168,9 @@ def save_corpus(directory: str | Path, corpus: Corpus) -> None:
         "codec": asdict(corpus.codec),
         "clips": entries,
     }
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=1))
+    write_file(directory / "manifest.json", json.dumps(manifest, indent=1))
     stats = {"mean": corpus.stats.mean.tolist(), "std": corpus.stats.std.tolist()}
-    (directory / "stats.json").write_text(json.dumps(stats))
+    write_file(directory / "stats.json", json.dumps(stats))
 
 
 def _read_json_object(path: Path) -> dict:

@@ -84,7 +84,7 @@ def new_denoiser(
     )
 
 
-def save_denoiser(path, model: NeuralDenoiser) -> None:
+def save_denoiser(path, model: NeuralDenoiser) -> list:
     from .checkpoint import save_checkpoint
 
     meta = {
@@ -102,12 +102,12 @@ def save_denoiser(path, model: NeuralDenoiser) -> None:
     if model.stats is not None:
         arrays["stats/mean"] = model.stats.mean
         arrays["stats/std"] = model.stats.std
-    save_checkpoint(path, "denoiser", meta, arrays)
+    return save_checkpoint(path, "denoiser", meta, arrays)
 
 
 def load_denoiser(path) -> NeuralDenoiser:
-    """The denoiser saved at ``path``; metadata or arrays that are missing or
-    that describe no valid model raise DataError."""
+    """The denoiser saved at ``path``; metadata or arrays that are missing,
+    non-finite, misshapen for the arch or otherwise invalid raise DataError."""
     from .checkpoint import load_checkpoint
 
     kind, meta, arrays = load_checkpoint(path)
@@ -116,8 +116,17 @@ def load_denoiser(path) -> NeuralDenoiser:
     try:
         arch = ArchSpec(**meta["arch"])
         sched = ScheduleParams(**meta["schedule"])
-        params = {k[4:]: v for k, v in arrays.items() if k.startswith("raw/")}
-        ema = {k[4:]: v for k, v in arrays.items() if k.startswith("ema/")}
+        shapes = network.param_shapes(arch)
+        for name, arr in arrays.items():
+            part, _, key = name.partition("/")
+            if part in ("raw", "ema") and arr.shape != shapes.get(key):
+                raise DataError(
+                    f"array {name!r} has shape {arr.shape}, the arch implies {shapes.get(key)}"
+                )
+            if not np.all(np.isfinite(arr)):
+                raise DataError(f"array {name!r} has non-finite entries")
+        params = {k: arrays[f"raw/{k}"] for k in shapes}
+        ema = {k: arrays[f"ema/{k}"] for k in shapes}
         stats = None
         if meta.get("has_stats"):
             stats = NormalizationStats(mean=arrays["stats/mean"], std=arrays["stats/std"])

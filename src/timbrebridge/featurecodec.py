@@ -17,20 +17,17 @@ import numpy as np
 from .clip import LatentClip
 from .errors import ConfigurationError, DataError
 
-DEFAULT_SAMPLE_RATE = 8000
-DEFAULT_CLIP_SECONDS = 2.048  # 16384 samples -> 64 frames at hop 256
-
 
 @dataclass(frozen=True)
 class FeatureCodecSpec:
-    sample_rate: int = DEFAULT_SAMPLE_RATE
+    sample_rate: int = 8000
     n_bands: int = 32
     hop: int = 256
     window: int = 512
     f_lo: float = 60.0
     f_hi: float = 3800.0
     log_floor: float = 1e-8
-    clip_seconds: float = DEFAULT_CLIP_SECONDS
+    clip_seconds: float = 2.048  # 16384 samples -> 64 frames at hop 256
 
     def __post_init__(self):
         if self.n_bands < 12:
@@ -132,8 +129,13 @@ class NormalizationStats:
     def normalize(self, clip: LatentClip) -> LatentClip:
         return LatentClip(self.normalize_array(clip.data), clip.domain_label)
 
-    def denormalize(self, clip: LatentClip) -> LatentClip:
-        return LatentClip(self.denormalize_array(clip.data), clip.domain_label)
+    def stack(self, clips: list[LatentClip]) -> np.ndarray:
+        """Feature-domain clips as one normalized (B, C, T) batch."""
+        return np.stack([self.normalize(c).data for c in clips])
+
+    def unstack(self, batch: np.ndarray, label: str | None) -> list[LatentClip]:
+        """A normalized (B, C, T) batch as feature-domain clips labelled ``label``."""
+        return [LatentClip(self.denormalize_array(x), domain_label=label) for x in batch]
 
 
 def compute_stats(clips: list[LatentClip]) -> NormalizationStats:

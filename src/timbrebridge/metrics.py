@@ -334,11 +334,11 @@ def train_timbre_classifier(
     return TimbreClassifier(classes, mean, std, **params)
 
 
-def save_classifier(path, clf: TimbreClassifier) -> None:
+def save_classifier(path, clf: TimbreClassifier) -> list:
     from .checkpoint import save_checkpoint
 
     arrays = {f.name: getattr(clf, f.name) for f in fields(clf) if f.name != "classes"}
-    save_checkpoint(path, "classifier", {"classes": clf.classes}, arrays)
+    return save_checkpoint(path, "classifier", {"classes": clf.classes}, arrays)
 
 
 def load_classifier(path) -> TimbreClassifier:

@@ -12,6 +12,7 @@ against central finite differences tensor by tensor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,19 +67,25 @@ def noise_embedding(c_noise: np.ndarray | float, n_features: int) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)  # (B, F)
 
 
-def init_params(arch: ArchSpec, rng: np.random.Generator) -> Params:
-    """Uniform +-1/sqrt(fan_in) initialization for every layer."""
-    params: Params = {}
+def param_shapes(arch: ArchSpec) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter ``arch`` implies, in initialization order."""
+    shapes = {}
     for name, cin, cout in _conv_specs(arch):
-        bound = 1.0 / np.sqrt(cin * arch.kernel)
-        params[f"{name}.w"] = rng.uniform(-bound, bound, size=(cout, cin, arch.kernel))
-        params[f"{name}.b"] = rng.uniform(-bound, bound, size=cout)
-    spec = {name: cout for name, _, cout in _conv_specs(arch)}
+        shapes[f"{name}.w"] = (cout, cin, arch.kernel)
+        shapes[f"{name}.b"] = (cout,)
     for name in _BIASED:
-        bound = 1.0 / np.sqrt(arch.noise_features)
-        params[f"{name}.nw"] = rng.uniform(
-            -bound, bound, size=(spec[name], arch.noise_features)
-        )
+        shapes[f"{name}.nw"] = (shapes[f"{name}.b"][0], arch.noise_features)
+    return shapes
+
+
+def init_params(arch: ArchSpec, rng: np.random.Generator) -> Params:
+    """Uniform +-1/sqrt(fan_in) initialization for every layer; a bias keeps
+    the bound of the weights listed before it."""
+    params: Params = {}
+    for key, shape in param_shapes(arch).items():
+        if not key.endswith(".b"):
+            bound = 1.0 / np.sqrt(math.prod(shape[1:]))
+        params[key] = rng.uniform(-bound, bound, size=shape)
     return params
 
 

@@ -8,17 +8,11 @@ in either direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation, DomainError
-
-DEFAULT_SIGMA_MIN = 0.01
-DEFAULT_SIGMA_MAX = 100.0
-DEFAULT_RHO = 9.0
-DEFAULT_SIGMA_DATA = 1.0
-DEFAULT_N_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -30,11 +24,11 @@ class ScheduleParams:
     agree on it.
     """
 
-    sigma_min: float = DEFAULT_SIGMA_MIN
-    sigma_max: float = DEFAULT_SIGMA_MAX
-    rho: float = DEFAULT_RHO
-    n_steps: int = DEFAULT_N_STEPS
-    sigma_data: float = DEFAULT_SIGMA_DATA
+    sigma_min: float = 0.01
+    sigma_max: float = 100.0
+    rho: float = 9.0
+    n_steps: int = 100
+    sigma_data: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.sigma_min < self.sigma_max):
@@ -49,9 +43,7 @@ class ScheduleParams:
             raise ConfigurationError(f"sigma_data must be > 0, got {self.sigma_data}")
 
     def with_steps(self, n_steps: int) -> "ScheduleParams":
-        return ScheduleParams(
-            self.sigma_min, self.sigma_max, self.rho, n_steps, self.sigma_data
-        )
+        return replace(self, n_steps=n_steps)
 
 
 def sigma_at(params: ScheduleParams, i: int) -> float:

@@ -284,20 +284,17 @@ class Testbed:
 
 def build_testbed(
     instruments: list[str],
-    sigma_maxes: tuple[float, ...] = (100.0,),
-    n_train: int = 256,
-    n_test: int = 200,
+    n_train: int,
+    n_test: int,
     seed: int = 0,
-    codec: FeatureCodecSpec | None = None,
     train_config: TrainingConfig | None = None,
-    base_schedule: ScheduleParams | None = None,
     augmentation: dict[str, ShiftAugmentation] | None = None,
 ) -> Testbed:
-    """Generate corpora, train one denoiser per (instrument, sigma_max), and
-    train the shared timbre classifier on all instruments' training clips."""
-    codec = codec or FeatureCodecSpec()
+    """Generate corpora, train one denoiser per instrument on the default schedule,
+    and train the shared timbre classifier on all instruments' training clips."""
+    codec = FeatureCodecSpec()
     train_config = train_config or TrainingConfig()
-    base_schedule = base_schedule or ScheduleParams()
+    base_schedule = ScheduleParams()
     augmentation = augmentation or {}
     corpora = {}
     for k, name in enumerate(instruments):
@@ -313,18 +310,16 @@ def build_testbed(
         )
     models, reports = {}, {}
     for k, name in enumerate(instruments):
-        for sigma_max in sigma_maxes:
-            sched = replace(base_schedule, sigma_max=sigma_max)
-            cfg = replace(train_config, seed=seed * 100 + k)
-            model, report = train(
-                corpora[name].normalized("train"),
-                sched,
-                cfg,
-                stats=corpora[name].stats,
-                label=name,
-            )
-            models[(name, sigma_max)] = model
-            reports[(name, sigma_max)] = report
+        cfg = replace(train_config, seed=seed * 100 + k)
+        model, report = train(
+            corpora[name].normalized("train"),
+            base_schedule,
+            cfg,
+            stats=corpora[name].stats,
+            label=name,
+        )
+        models[(name, base_schedule.sigma_max)] = model
+        reports[(name, base_schedule.sigma_max)] = report
     train_clips = [c for corpus in corpora.values() for c in corpus.clips("train")]
     classifier = train_timbre_classifier(embed_clips(train_clips), seed=seed)
     return Testbed(
@@ -339,11 +334,6 @@ def build_testbed(
     )
 
 
-def normalized_stack(clips: list[LatentClip], stats: NormalizationStats) -> np.ndarray:
-    """Feature-domain clips as one (B, C, T) batch in normalized space."""
-    return np.stack([stats.normalize(c).data for c in clips])
-
-
 def transfer_features(
     clips: list[LatentClip],
     config: BridgeConfig,
@@ -352,9 +342,8 @@ def transfer_features(
 ) -> list[LatentClip]:
     """Feature-domain transfer, the one path every transfer takes: normalize
     with the source statistics, bridge, denormalize with the target's."""
-    out = transfer(normalized_stack(clips, source_stats), config)
-    label = config.target_model.label
-    return [LatentClip(target_stats.denormalize_array(o), domain_label=label) for o in out]
+    out = transfer(source_stats.stack(clips), config)
+    return target_stats.unstack(out, config.target_model.label)
 
 
 def transfer_clips(
@@ -607,15 +596,11 @@ def shared_latent_study(
     lat_a = draw_latents(n_trials, shape, cfg, rng)
     lat_b = draw_latents(n_trials, shape, cfg, rng)
 
-    def generate(model, stats, latents):
-        out = sample_shared(latents, model, cfg)
-        return [LatentClip(stats.denormalize_array(o)) for o in out]
-
     stats_a = testbed.corpora[instrument_a].stats
     stats_b = testbed.corpora[instrument_b].stats
-    gen_a = generate(model_a, stats_a, lat_a)
-    gen_b_same = generate(model_b, stats_b, lat_a)
-    gen_b_indep = generate(model_b, stats_b, lat_b)
+    gen_a = stats_a.unstack(sample_shared(lat_a, model_a, cfg), None)
+    gen_b_same = stats_b.unstack(sample_shared(lat_a, model_b, cfg), None)
+    gen_b_indep = stats_b.unstack(sample_shared(lat_b, model_b, cfg), None)
 
     def dpds(xs, ys):
         return np.array(
@@ -676,7 +661,12 @@ def cycle_study(
         t0 = time.perf_counter()
         out = cycle(x_batch, cfg)
         wall = (time.perf_counter() - t0) / 2.0  # a cycle is two transfers
-        err = np.linalg.norm((out - x_batch).reshape(len(x_batch), -1), axis=1)
-        norm = np.linalg.norm(x_batch.reshape(len(x_batch), -1), axis=1)
-        points.append(CyclePoint(n, float(np.mean(err / norm)), wall))
+        points.append(CyclePoint(n, float(np.mean(cycle_errors(x_batch, out))), wall))
     return points
+
+
+def cycle_errors(x: np.ndarray, back: np.ndarray) -> np.ndarray:
+    """Per-clip reconstruction error ||back - x|| / ||x|| of a (B, C, T) batch."""
+    err = np.linalg.norm((back - x).reshape(len(x), -1), axis=1)
+    norm = np.linalg.norm(x.reshape(len(x), -1), axis=1)
+    return err / norm

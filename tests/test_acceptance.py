@@ -95,7 +95,6 @@ def testbed():
     """
     tb = build_testbed(
         ["flute_like", "violin_like", "bassoon_like"],
-        sigma_maxes=(100.0,),
         n_train=256,
         n_test=200,
         seed=1,

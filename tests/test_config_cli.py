@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from timbrebridge.cli import main, parse_and_validate
+from timbrebridge.clip import read_clip
 from timbrebridge.errors import ConfigurationError
 
 
@@ -188,6 +189,29 @@ def test_out_root_env(tmp_path, monkeypatch):
     assert (tmp_path / "envds" / "manifest.json").exists()
 
 
+def _transfer_one(source_ckpt, target_ckpt, data, output):
+    return main([
+        "transfer", "--source-ckpt", str(source_ckpt), "--target-ckpt", str(target_ckpt),
+        "--input", str(data), "--limit", "1", "--output", str(output),
+        "--inference-sigma", "5",
+    ])
+
+
+def test_single_clip_transfer_into_new_directory(pipeline, tmp_path):
+    out = tmp_path / "newdir" / "x.clip"
+    ckpt = pipeline / "ckpt"
+    assert _transfer_one(ckpt / "flute.tbc", ckpt / "violin.tbc", pipeline / "flute", out) == 0
+    assert read_clip(out).shape == (32, 64)
+
+
+def test_out_root_env_anchors_inputs(pipeline, tmp_path, monkeypatch):
+    shutil.copytree(pipeline / "ckpt", tmp_path / "ck")
+    shutil.copytree(pipeline / "flute", tmp_path / "fl")
+    monkeypatch.setenv("TIMBREBRIDGE_OUT_ROOT", str(tmp_path))
+    assert _transfer_one("ck/flute.tbc", "ck/violin.tbc", "fl", "o/x.clip") == 0
+    assert (tmp_path / "o" / "x.clip").exists()
+
+
 def test_jobs_flag_removed(tmp_path):
     assert run_cli(["synth-data", "--instrument", "flute_like", "--out",
                     str(tmp_path / "d"), "--jobs", "2"]).returncode == 2
@@ -284,6 +308,15 @@ def _drop_schedule(path):
     save_checkpoint(path, kind, meta, arrays)
 
 
+def _narrow_kernel(path):
+    from timbrebridge.checkpoint import load_checkpoint, save_checkpoint
+
+    kind, meta, arrays = load_checkpoint(path)
+    for part in ("raw", "ema"):
+        arrays[f"{part}/enc1.w"] = arrays[f"{part}/enc1.w"][:, :, 1:-1]
+    save_checkpoint(path, kind, meta, arrays)
+
+
 def _break_json(path):
     path.write_text("{")
 
@@ -298,6 +331,7 @@ def _empty_manifest(path):
         ("ckpt/flute.tbc", _cut_header),
         ("ckpt/flute.tbc", _append_junk),
         ("ckpt/flute.tbc", _drop_schedule),
+        ("ckpt/flute.tbc", _narrow_kernel),
         ("flute/manifest.json", _break_json),
         ("flute/manifest.json", _empty_manifest),
         ("flute/stats.json", _break_json),

@@ -1,10 +1,14 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import timbrebridge
+from timbrebridge import checkpoint
 from timbrebridge.checkpoint import (
     CHECKPOINT_MAGIC,
     load_checkpoint,
@@ -154,6 +158,76 @@ def test_denoiser_checkpoint_missing_metadata_key(tmp_path, tiny_files, key):
     save_checkpoint(tmp_path / "m.tbc", kind, meta, arrays)
     with pytest.raises(DataError, match=key):
         load_denoiser(tmp_path / "m.tbc")
+
+
+def _narrow_kernel(arrays):
+    for part in ("raw", "ema"):
+        arrays[f"{part}/enc1.w"] = arrays[f"{part}/enc1.w"][:, :, 1:2]
+
+
+def _nan_weight(arrays):
+    arrays["ema/enc1.w"][0, 0, 0] = np.nan
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_narrow_kernel, r"'raw/enc1.w' has shape \(2, 2, 1\), the arch implies \(2, 2, 3\)"),
+        (_nan_weight, "'ema/enc1.w' has non-finite entries"),
+    ],
+)
+def test_denoiser_checkpoint_rejects_weights_its_arch_does_not_describe(
+    tmp_path, tiny_files, damage, message
+):
+    kind, meta, arrays = load_checkpoint(tiny_files[0])
+    damage(arrays)
+    path = tmp_path / "damaged.tbc"
+    save_checkpoint(path, kind, meta, arrays)
+    with pytest.raises(DataError, match=message) as info:
+        load_denoiser(path)
+    assert str(path) in str(info.value)
+
+
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch):
+    target = tmp_path / "a.clip"
+    write_clip(target, LatentClip(np.ones((2, 3))))
+    old = target.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(checkpoint.os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        write_clip(target, LatentClip(np.zeros((2, 3))))
+    assert target.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["a.clip"]
+
+
+def _writes_files(call: ast.Call) -> bool:
+    """A call of write_bytes or write_text, or an open with a writing mode."""
+    name = getattr(call.func, "attr", getattr(call.func, "id", None))
+    if name in ("write_bytes", "write_text"):
+        return True
+    modes = [*call.args, *(k.value for k in call.keywords if k.arg == "mode")]
+    return name in ("open", "fdopen") and any(
+        isinstance(m, ast.Constant)
+        and isinstance(m.value, str)
+        and set(m.value) <= set("rwxabt+")
+        and set(m.value) & set("wxa+")
+        for m in modes
+    )
+
+
+def test_only_checkpoint_module_writes_files():
+    """Every file the package writes goes through checkpoint.write_file."""
+    writers = []
+    for path in sorted(Path(timbrebridge.__file__).parent.glob("*.py")):
+        if path.name == "checkpoint.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and _writes_files(node):
+                writers.append(f"{path.name}:{node.lineno}")
+    assert not writers, f"files written outside checkpoint.py at {writers}"
 
 
 def test_classifier_checkpoint_missing_classes(tmp_path):

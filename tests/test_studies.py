@@ -112,7 +112,6 @@ def tiny_testbed():
 
     return build_testbed(
         ["flute_like", "violin_like"],
-        sigma_maxes=(100.0,),
         n_train=24,
         n_test=8,
         seed=2,
